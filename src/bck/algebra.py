@@ -22,7 +22,7 @@ import numpy as np
 
 Element = int
 
-# Below this order the plain-Python check is faster than numpy dispatch.
+# Below this order the plain-Python check is faster than the gather kernel.
 _VECTORIZE_MIN_ORDER = 16
 
 
@@ -112,42 +112,54 @@ def _check_small(n, t) -> list[tuple[str, tuple[int, ...]]]:
     return viol
 
 
-def _check_vectorized(n, table) -> list[tuple[str, tuple[int, ...]]]:
-    t = np.asarray(table, dtype=np.int32)
-    viol = []
+# Most grid cells the gather kernel evaluates at once; it bounds every
+# intermediate array, however large n^k is.
+_BLOCK_CELLS = 1 << 20
 
-    xy = t[:, :, None]
-    xz = t[:, None, :]
-    zy = np.broadcast_to(t.T[None, :, :], (n, n, n))
-    r1 = t[t[xy, xz], zy]
-    bad = np.argwhere(r1 != 0)
-    if bad.size:
-        viol.append(("BCK1", tuple(int(v) for v in bad[0])))
 
-    idx = np.arange(n)
-    r2 = t[t[idx[:, None], t], idx[None, :]]
-    bad = np.argwhere(r2 != 0)
-    if bad.size:
-        viol.append(("BCK2", tuple(int(v) for v in bad[0])))
+def grid_masks(table, arity: int, mask):
+    """The gather kernel: evaluate ``mask`` over A^arity in row-major blocks.
 
-    bad = np.flatnonzero(np.diagonal(t) != 0)
-    if bad.size:
-        viol.append(("BCK3", (int(bad[0]),)))
+    ``mask(t, *args)`` gets the table as an array and one array per
+    variable, broadcast over at most ``_BLOCK_CELLS`` assignments, and
+    returns a boolean array over them. Yields ``(start, mask)`` per block,
+    ``start`` being the row-major index of its first assignment, so a
+    block's first marked cell is also the lexicographically first among
+    those not yet seen.
+    """
+    t = np.asarray(table, dtype=np.intp)
+    n = len(t)
+    if n**arity <= _BLOCK_CELLS:
+        yield 0, mask(t, *_axes(n, arity))
+        return
+    # the last `inner` variables span A in every block, the one before them
+    # a slice of A, and any earlier ones are fixed
+    inner = 0
+    while n ** (inner + 1) <= _BLOCK_CELLS:
+        inner += 1
+    step = _BLOCK_CELLS // n**inner
+    head, *axes = _axes(n, inner + 1)
+    for i, prefix in enumerate(itertools.product(range(n), repeat=arity - 1 - inner)):
+        for lo in range(0, n, step):
+            yield (i * n + lo) * n**inner, mask(t, *prefix, head[lo : lo + step], *axes)
 
-    bad = np.flatnonzero(t[0, :] != 0)
-    if bad.size:
-        viol.append(("BCK4", (int(bad[0]),)))
 
-    both = (t == 0) & (t.T == 0) & ~np.eye(n, dtype=bool)
-    bad = np.argwhere(both)
-    if bad.size:
-        viol.append(("BCK5", tuple(int(v) for v in bad[0])))
+def _axes(n: int, count: int) -> list[np.ndarray]:
+    # A along each of `count` broadcast dimensions
+    a = np.arange(n)
+    return [a.reshape((n,) + (1,) * (count - 1 - i)) for i in range(count)]
 
-    bad = np.flatnonzero(t[:, 0] != idx)
-    if bad.size:
-        viol.append(("X0", (int(bad[0]),)))
 
-    return viol
+# Each axiom class as a mask of its failing assignments: BCK1-BCK4 and X0
+# are equations, BCK5 is the conjunction x*y = 0, y*x = 0, x != y.
+_AXIOM_FAILURES = (
+    ("BCK1", 3, lambda t, x, y, z: t[t[t[x, y], t[x, z]], t[z, y]] != 0),
+    ("BCK2", 2, lambda t, x, y: t[t[x, t[x, y]], y] != 0),
+    ("BCK3", 1, lambda t, x: t[x, x] != 0),
+    ("BCK4", 1, lambda t, x: t[0, x] != 0),
+    ("BCK5", 2, lambda t, x, y: (t[x, y] == 0) & (t[y, x] == 0) & (x != y)),
+    ("X0", 1, lambda t, x: t[x, 0] != x),
+)
 
 
 def check_axioms(order: int, table) -> AxiomReport:
@@ -158,10 +170,15 @@ def check_axioms(order: int, table) -> AxiomReport:
     which are distinct from axiom violations.
     """
     _validate_shape(order, table)
-    if order >= _VECTORIZE_MIN_ORDER:
-        viol = _check_vectorized(order, table)
-    else:
-        viol = _check_small(order, [list(row) for row in table])
+    if order < _VECTORIZE_MIN_ORDER:
+        return AxiomReport(tuple(_check_small(order, [list(row) for row in table])))
+    t = np.asarray(table, dtype=np.intp)
+    viol = []
+    for axiom, arity, fails in _AXIOM_FAILURES:
+        blocks = grid_masks(t, arity, fails)
+        first = next((start + int(m.argmax()) for start, m in blocks if m.any()), None)
+        if first is not None:
+            viol.append((axiom, tuple(int(v) for v in np.unravel_index(first, (order,) * arity))))
     return AxiomReport(tuple(viol))
 
 

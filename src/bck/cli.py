@@ -98,11 +98,11 @@ def cmd_props(args) -> int:
 def cmd_degree(args) -> int:
     algebra = tableio.load_algebra(args.file)
     if args.kind:
-        d = DEGREE_FUNCTIONS[args.kind](algebra, jobs=args.jobs)
+        d = DEGREE_FUNCTIONS[args.kind](algebra)
         shown = BUILTIN_EQUATIONS[DEGREE_EQUATION_NAMES[args.kind]]
     else:
         eq = parse(args.eq)
-        d = ds(algebra, eq, jobs=args.jobs)
+        d = ds(algebra, eq)
         shown = pretty(eq)
     results = {"equation": shown, "kind": args.kind, "degree": d.to_json(), "note": d.note}
     out = {
@@ -129,14 +129,15 @@ def cmd_family(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    count = len(args.files)
+    if args.operation == "iseki" and count != 1:
+        raise ValueError(f"iseki takes exactly one table file, got {count}")
+    if args.operation != "iseki" and count < 2:
+        raise ValueError(f"{args.operation} takes at least two table files, got {count}")
     operands = [tableio.load_algebra(f) for f in args.files]
     if args.operation == "iseki":
-        if len(operands) != 1:
-            raise SystemExit(2)
         result = iseki_extension(operands[0])
     else:
-        if len(operands) < 2:
-            raise SystemExit(2)
         combine = bck_union if args.operation == "union" else direct_product
         result = operands[0]
         for other in operands[1:]:
@@ -152,7 +153,7 @@ def cmd_construct(args) -> int:
 
 def cmd_gap(args) -> int:
     eq = _resolve_equation(args)
-    ev = gap_evidence(eq, args.max_n, jobs=args.jobs)
+    ev = gap_evidence(eq, args.max_n)
     results = {
         "equation": pretty(eq),
         "max_n": ev.max_n,
@@ -197,7 +198,7 @@ def _catalog_for(args):
     return enumerate_algebras(args.order, jobs=getattr(args, "jobs", 1))
 
 
-def _entry_json(order, entry):
+def _entry_json(entry):
     return {
         "table": [list(row) for row in entry.algebra.table],
         "bound": entry.bound,
@@ -216,7 +217,7 @@ def cmd_enumerate(args) -> int:
     results = {
         "order": args.order,
         "count": len(catalog),
-        "algebras": [_entry_json(args.order, e) for e in catalog.entries],
+        "algebras": [_entry_json(e) for e in catalog.entries],
     }
     out = {
         "command": "enumerate",
@@ -312,6 +313,19 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+# Most worker processes --jobs may ask for.
+MAX_JOBS = 64
+
+
+def jobs(text: str) -> int:
+    """argparse type of --jobs: an integer in [1, MAX_JOBS], checked before
+    any worker exists."""
+    value = int(text)
+    if not 1 <= value <= MAX_JOBS:
+        raise argparse.ArgumentTypeError(f"must be between 1 and {MAX_JOBS}, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="bck", description="Finite BCK-algebra workbench")
     sub = top.add_subparsers(dest="command", required=True)
@@ -333,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--kind", choices=tuple(DEGREE_FUNCTIONS))
     g.add_argument("--eq")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=jobs, default=1, help="accepted; degrees count serially")
 
     p = add("family", cmd_family, help="emit a named family member as a table file")
     p.add_argument("--name", required=True, choices=FAMILY_NAMES)
@@ -350,24 +364,24 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--eq")
     g.add_argument("--kind", choices=tuple(BUILTIN_EQUATIONS))
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=jobs, default=1, help="accepted; degrees count serially")
 
     p = add("enumerate", cmd_enumerate, help="all algebras of an order up to isomorphism")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--out", help="directory to persist the catalog in")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=jobs, default=1, help="enumeration worker processes")
     p.add_argument("--max-nodes", type=int, default=None)
 
     p = add("spectrum", cmd_spectrum, help="achieved degree values across a catalog")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--kind", choices=SPECTRUM_KINDS, required=True)
     p.add_argument("--catalog", help="persisted catalog directory to reuse")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=jobs, default=1, help="enumeration worker processes")
 
     p = add("audit", cmd_audit, help="audit degree bounds over a catalog")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--catalog", help="persisted catalog directory to reuse")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=jobs, default=1, help="enumeration worker processes")
 
     p = add("decompose", cmd_decompose, help="factor a commutative algebra into chains")
     p.add_argument("file")

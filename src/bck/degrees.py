@@ -1,18 +1,20 @@
 """Exact degrees of satisfiability and related machinery.
 
 All degrees are exact rationals stored as (satisfying count, n^k); no
-floating point enters the semantics anywhere.
+floating point enters the semantics anywhere. Counts come from the gather
+kernel the large-order axiom checks use too.
 """
 
 from __future__ import annotations
 
-import itertools
-import multiprocessing
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce, total_ordering
+from types import SimpleNamespace
 
-from .algebra import BckAlgebra
+import numpy as np
+
+from .algebra import BckAlgebra, grid_masks
 from .constructions import chain, direct_product, trivial
 from .terms import Equation, builtin, holds
 
@@ -79,89 +81,57 @@ class Degree:
         return {"count": self.count, "total": self.total, "reduced": self.reduced}
 
 
-def _decode_assignment(idx: int, n: int, k: int) -> tuple[int, ...]:
-    # row-major: the first variable is the most significant digit
-    vals = [0] * k
-    for i in range(k - 1, -1, -1):
-        idx, vals[i] = divmod(idx, n)
-    return tuple(vals)
-
-
-def _ds_count_range(args) -> int:
-    order, table, bound, eq, lo, hi = args
-    algebra = BckAlgebra(order, table, bound)
-    names = eq.vars
-    k = len(names)
-    count = 0
-    for idx in range(lo, hi):
-        if holds(algebra, eq, dict(zip(names, _decode_assignment(idx, order, k)))):
-            count += 1
-    return count
-
-
 def ds(algebra: BckAlgebra, eq: Equation, jobs: int = 1) -> Degree:
     """Degree of satisfiability: the fraction of assignment tuples in A^k
     satisfying the equation, by exhaustive enumeration.
 
-    ``jobs`` > 1 partitions the assignment space across processes; the
-    result is identical for any worker count.
+    The tuples are counted block by block with the gather kernel, so peak
+    memory does not grow with n^k. ``jobs`` is accepted and has no effect:
+    the kernel beat the former process pool at every size.
     """
-    n = algebra.order
-    k = eq.arity
-    total = n**k
-    if k == 0:
-        return Degree(1 if holds(algebra, eq, {}) else 0, 1)
-    if jobs <= 1:
-        names = eq.vars
-        count = sum(
-            1
-            for tup in itertools.product(range(n), repeat=k)
-            if holds(algebra, eq, dict(zip(names, tup)))
-        )
-        return Degree(count, total)
-    # evaluate one tuple up front so boundedness errors surface in the parent
-    holds(algebra, eq, dict(zip(eq.vars, _decode_assignment(0, n, k))))
-    step = -(-total // jobs)
-    chunks = [
-        (algebra.order, algebra.table, algebra.bound, eq, lo, min(lo + step, total))
-        for lo in range(0, total, step)
-    ]
-    with multiprocessing.Pool(jobs) as pool:
-        count = sum(pool.map(_ds_count_range, chunks))
-    return Degree(count, total)
+
+    def holding(t, *args):
+        # eval_term needs only op and bound, so gathers on t evaluate the
+        # equation over a whole block of assignments at once
+        gathers = SimpleNamespace(op=lambda x, y: t[x, y], bound=algebra.bound)
+        return holds(gathers, eq, dict(zip(eq.vars, args)))
+
+    blocks = grid_masks(algebra.table, eq.arity, holding)
+    count = sum(int(np.count_nonzero(mask)) for _, mask in blocks)
+    return Degree(count, algebra.order**eq.arity)
 
 
-def excluded_middle_degree(algebra: BckAlgebra, jobs: int = 1) -> Degree:
+def excluded_middle_degree(algebra: BckAlgebra) -> Degree:
     """Degree of x | ~x = 1 over a bounded algebra.
 
     Defined in the usual treatment only for bounded commutative algebras;
     on a non-commutative input the literal term degree is computed and the
     result carries a warning note instead of erroring.
     """
-    d = ds(algebra, builtin("EM"), jobs=jobs)
+    d = ds(algebra, builtin("EM"))
     if not algebra.is_commutative():
         d = Degree(d.count, d.total, note="outside usual hypothesis: algebra is not commutative")
     return d
 
 
-def double_negation_degree(algebra: BckAlgebra, jobs: int = 1) -> Degree:
+def double_negation_degree(algebra: BckAlgebra) -> Degree:
     """Degree of ~~x = x over a bounded algebra."""
-    return ds(algebra, builtin("DN"), jobs=jobs)
+    return ds(algebra, builtin("DN"))
 
 
-def commuting_degree(algebra: BckAlgebra, jobs: int = 1) -> Degree:
+def commuting_degree(algebra: BckAlgebra) -> Degree:
     """Degree of x & y = y & x."""
-    return ds(algebra, builtin("T"), jobs=jobs)
+    return ds(algebra, builtin("T"))
 
 
-def positive_implicative_degree(algebra: BckAlgebra, jobs: int = 1) -> Degree:
+def positive_implicative_degree(algebra: BckAlgebra) -> Degree:
     """Degree of x . y = (x . y) . y."""
-    return ds(algebra, builtin("E1"), jobs=jobs)
+    return ds(algebra, builtin("E1"))
 
 
-def implicative_degree(algebra: BckAlgebra, jobs: int = 1) -> Degree:
+def implicative_degree(algebra: BckAlgebra) -> Degree:
     """Degree of x . (y . x) = x."""
-    return ds(algebra, builtin("I"), jobs=jobs)
+    return ds(algebra, builtin("I"))
 
 
 DEGREE_FUNCTIONS = {
@@ -175,18 +145,18 @@ DEGREE_FUNCTIONS = {
 DEGREE_EQUATION_NAMES = {"emd": "EM", "dnd": "DN", "cd": "T", "pid": "E1", "id": "I"}
 
 
-def check_multiplicative(a: BckAlgebra, b: BckAlgebra, eq: Equation, jobs: int = 1) -> bool:
+def check_multiplicative(a: BckAlgebra, b: BckAlgebra, eq: Equation) -> bool:
     """Whether ds(A x B) = ds(A) * ds(B) holds exactly."""
-    dab = ds(direct_product(a, b), eq, jobs=jobs)
-    return dab.fraction == ds(a, eq, jobs=jobs).fraction * ds(b, eq, jobs=jobs).fraction
+    dab = ds(direct_product(a, b), eq)
+    return dab.fraction == ds(a, eq).fraction * ds(b, eq).fraction
 
 
-def chain_degrees(eq: Equation, max_n: int, jobs: int = 1) -> list[Degree]:
+def chain_degrees(eq: Equation, max_n: int) -> list[Degree]:
     """[ds(C_2, eq), ..., ds(C_max_n, eq)]; chains are bounded, so every
     equation in the language is evaluable."""
     if max_n < 2:
         raise ValueError(f"max_n must be >= 2, got {max_n}")
-    return [ds(chain(n), eq, jobs=jobs) for n in range(2, max_n + 1)]
+    return [ds(chain(n), eq) for n in range(2, max_n + 1)]
 
 
 @dataclass(frozen=True)
@@ -213,10 +183,10 @@ class GapEvidence:
         return 1 - self.sub_one_max[1].fraction
 
 
-def gap_evidence(eq: Equation, max_n: int, jobs: int = 1) -> GapEvidence:
+def gap_evidence(eq: Equation, max_n: int) -> GapEvidence:
     if max_n < 3:
         raise ValueError(f"max_n must be >= 3, got {max_n}")
-    seq = chain_degrees(eq, max_n, jobs=jobs)
+    seq = chain_degrees(eq, max_n)
     best: tuple[int, Degree] | None = None
     first_sub_one = None
     for i, d in enumerate(seq):

@@ -28,11 +28,12 @@ import json
 import multiprocessing
 import os
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import tableio
-from .algebra import BckAlgebra, canonical_table, check_axioms, from_table
+from .algebra import BckAlgebra, MalformedTableError, canonical_table, check_axioms, from_table
 from .degrees import DEGREE_FUNCTIONS, Degree, DecompositionError, decompose_commutative
 
 PRACTICAL_MAX_ORDER = 6
@@ -265,7 +266,7 @@ class CatalogEntry:
     commutative: bool
     positive_implicative: bool
     implicative: bool
-    degrees: dict[str, Degree | None]
+    degrees: Mapping[str, Degree | None]
 
 
 @dataclass(frozen=True)
@@ -284,12 +285,33 @@ class Catalog:
         return len(self.entries)
 
 
+class _Degrees(Mapping):
+    """An algebra's degree of each kind in ``DEGREE_FUNCTIONS``, computed
+    when first read, so a reader of one kind (``spectrum``) pays for one.
+    emd and dnd are None on an unbounded algebra."""
+
+    def __init__(self, algebra: BckAlgebra):
+        self._algebra = algebra
+        self._known: dict[str, Degree | None] = {}
+
+    def __getitem__(self, kind: str) -> Degree | None:
+        if kind not in self._known:
+            bounded = self._algebra.bound is not None
+            fn = DEGREE_FUNCTIONS[kind]
+            self._known[kind] = fn(self._algebra) if bounded or kind not in ("emd", "dnd") else None
+        return self._known[kind]
+
+    def __iter__(self):
+        return iter(DEGREE_FUNCTIONS)
+
+    def __len__(self) -> int:
+        return len(DEGREE_FUNCTIONS)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 def profile_algebra(algebra: BckAlgebra) -> CatalogEntry:
-    bounded = algebra.bound is not None
-    degrees: dict[str, Degree | None] = {
-        kind: (fn(algebra) if bounded or kind not in ("emd", "dnd") else None)
-        for kind, fn in DEGREE_FUNCTIONS.items()
-    }
     return CatalogEntry(
         algebra=algebra,
         bound=algebra.bound,
@@ -297,7 +319,7 @@ def profile_algebra(algebra: BckAlgebra) -> CatalogEntry:
         commutative=algebra.is_commutative(),
         positive_implicative=algebra.is_positive_implicative(),
         implicative=algebra.is_implicative(),
-        degrees=degrees,
+        degrees=_Degrees(algebra),
     )
 
 
@@ -523,7 +545,8 @@ def _table_hash(order, table) -> str:
 
 def save_catalog(catalog: Catalog, dirpath) -> None:
     """Persist as one table file per algebra plus a JSON index with flags
-    and degrees, so audits re-run without re-enumeration."""
+    and degrees. :func:`load_catalog` reads back only the tables and
+    recomputes the rest."""
     os.makedirs(dirpath, exist_ok=True)
     index = {"order": catalog.order, "algebras": []}
     for e in catalog.entries:
@@ -550,26 +573,19 @@ def save_catalog(catalog: Catalog, dirpath) -> None:
 
 
 def load_catalog(dirpath) -> Catalog:
-    """Load a persisted catalog; tables are re-validated on the way in."""
+    """Load a persisted catalog. Every table is re-validated and re-profiled:
+    of ``index.json`` only the order and the file names are read, so stored
+    flags and degrees are never trusted. A table whose order differs from
+    the index's raises :class:`MalformedTableError`."""
     with open(os.path.join(dirpath, "index.json"), encoding="utf-8") as fh:
         index = json.load(fh)
     order = index["order"]
     entries = []
     for rec in index["algebras"]:
         algebra = tableio.load_algebra(os.path.join(dirpath, rec["file"]))
-        degrees = {
-            kind: (Degree(d["count"], d["total"]) if d is not None else None)
-            for kind, d in rec["degrees"].items()
-        }
-        entries.append(
-            CatalogEntry(
-                algebra=algebra,
-                bound=rec["bound"],
-                linear=rec["linear"],
-                commutative=rec["commutative"],
-                positive_implicative=rec["positive_implicative"],
-                implicative=rec["implicative"],
-                degrees=degrees,
+        if algebra.order != order:
+            raise MalformedTableError(
+                f"{rec['file']} has order {algebra.order}, but the catalog index says {order}"
             )
-        )
+        entries.append(profile_algebra(algebra))
     return Catalog(order, tuple(entries))

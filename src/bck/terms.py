@@ -20,6 +20,7 @@ evaluation time, never precompiled into tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Union
 
 from .algebra import BckAlgebra, UnboundedAlgebraError
@@ -274,10 +275,11 @@ BUILTIN_EQUATIONS = {
 }
 
 
+@cache
 def builtin(name: str) -> Equation:
     """One of the studied equations: DN (double negation), EM (excluded
     middle), T (commutativity), E1 (positive implicativity), I
-    (implicativity), X1 (x = 1), NX1 (~x = 1)."""
+    (implicativity), X1 (x = 1), NX1 (~x = 1). Parsed once per name."""
     try:
         return parse(BUILTIN_EQUATIONS[name])
     except KeyError:

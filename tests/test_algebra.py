@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from bck import (
@@ -18,7 +19,8 @@ from bck import (
     trivial,
     two,
 )
-from bck.algebra import _check_small, _check_vectorized, canonical_table
+from bck import algebra
+from bck.algebra import _BLOCK_CELLS, _check_small, canonical_table
 
 PI_TABLE = [[0, 0, 0], [1, 0, 0], [2, 2, 0]]
 TC_TABLE = [[0, 0, 0], [1, 0, 0], [2, 1, 0]]
@@ -209,14 +211,55 @@ def test_bounded_commutative_meet_join_form_distributive_lattice(small_catalogs)
                 assert alg.meet(x, alg.join(y, z)) == alg.join(alg.meet(x, y), alg.meet(x, z))
 
 
-def test_small_and_vectorized_checkers_agree():
+def test_small_and_vectorized_checkers_agree(monkeypatch):
+    # _check_small is the oracle of the gather kernel; lowering the switch
+    # sends every order through the kernel
     import random
 
     rng = random.Random(20240917)
+    tables = []
     for _ in range(200):
         n = rng.randint(1, 6)
-        t = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
-        assert _check_small(n, t) == _check_vectorized(n, t)
+        tables.append((n, [[rng.randrange(n) for _ in range(n)] for _ in range(n)]))
+    for n in range(16, 41):
+        t = [list(row) for row in chain(n).table]
+        for _ in range(rng.randint(1, 3)):
+            t[rng.randrange(1, n)][rng.randrange(n)] = rng.randrange(n)
+        tables.append((n, t))
+    monkeypatch.setattr(algebra, "_VECTORIZE_MIN_ORDER", 1)
+    for n, t in tables:
+        assert check_axioms(n, t).violations == tuple(_check_small(n, t))
+
+
+def test_gather_kernel_witness_past_the_first_block():
+    n = 110  # n^3 > _BLOCK_CELLS, so the BCK1 grid spans several blocks
+    first_block_rows = _BLOCK_CELLS // n**2
+    t = [list(row) for row in chain(n).table]
+    t[100][2] = 99  # was 98; no triple with x < 100 sees the change
+    expected = tuple(_check_small(n, t))
+    assert expected[0][0] == "BCK1" and expected[0][1][0] >= first_block_rows
+    assert check_axioms(n, t).violations == expected
+
+
+def test_grid_masks_blocks_follow_row_major_order():
+    # 2^22 assignments on the 2-element chain: the first variable is fixed
+    # per block and the second sliced, so every branch of the kernel runs
+    arity = 22
+    target = (1, 0, 1) + (0, 1) * 9 + (1,)
+    index = int("".join(map(str, target)), 2)
+
+    def fails(t, *args):
+        mask = True
+        for a, v in zip(args, target):
+            mask = mask & (a == v)
+        return mask
+
+    seen, hits = 0, []
+    for start, mask in algebra.grid_masks(chain(2).table, arity, fails):
+        assert start == seen and 0 < mask.size <= _BLOCK_CELLS
+        seen += mask.size
+        hits += [start + int(i) for i in np.flatnonzero(mask)]
+    assert seen == 2**arity and hits == [index]
 
 
 def test_vectorized_checker_used_at_scale():

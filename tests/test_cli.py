@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import pytest
 
@@ -283,3 +284,45 @@ def test_cli_jobs_flag_output_identical(capsys, pi_file):
     base = run(capsys, "degree", pi_file, "--kind", "cd", "--jobs", "1")
     for jobs in ("2", "8"):
         assert run(capsys, "degree", pi_file, "--kind", "cd", "--jobs", jobs) == base
+
+
+@pytest.mark.parametrize("value", ["0", "-1", str(10**6)])
+def test_jobs_out_of_range_is_usage_error(capsys, monkeypatch, pi_file, value):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    for argv in (
+        ["degree", pi_file, "--kind", "cd"],
+        ["gap", "--kind", "EM", "--max-n", "5"],
+        ["enumerate", "--order", "3"],
+        ["spectrum", "--order", "3", "--kind", "cd"],
+        ["audit", "--order", "3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--jobs", value])
+        assert exc.value.code == 2
+        assert f"must be between 1 and 64, got {value}" in capsys.readouterr().err
+
+
+def test_construct_iseki_needs_exactly_one_file(capsys, pi_file):
+    code, out, err = run(capsys, "construct", "iseki", pi_file, pi_file)
+    assert code == 2 and out == ""
+    assert "iseki takes exactly one table file, got 2" in err
+
+
+@pytest.mark.parametrize("operation", ["union", "product"])
+def test_construct_needs_at_least_two_files(capsys, pi_file, operation):
+    code, out, err = run(capsys, "construct", operation, pi_file)
+    assert code == 2 and out == ""
+    assert f"{operation} takes at least two table files, got 1" in err
+
+
+def test_audit_rejects_catalog_table_of_another_order(capsys, tmp_path):
+    out_dir = tmp_path / "cat3"
+    run(capsys, "enumerate", "--order", "3", "--out", str(out_dir))
+    index = json.loads((out_dir / "index.json").read_text())
+    (out_dir / index["algebras"][0]["file"]).write_text(tableio.dumps(4, chain(4).table))
+    code, out, err = run(capsys, "audit", "--order", "3", "--catalog", str(out_dir))
+    assert code == 2 and out == ""
+    assert "has order 4, but the catalog index says 3" in err

@@ -1,6 +1,9 @@
+import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bck import (
@@ -8,6 +11,7 @@ from bck import (
     Degree,
     DecompositionError,
     NotCommutativeError,
+    UnboundedAlgebraError,
     bck_union,
     builtin,
     chain,
@@ -34,6 +38,8 @@ from bck import (
     trivial,
     two,
 )
+from bck.algebra import _BLOCK_CELLS
+from bck.terms import holds
 
 
 def test_degree_equality_is_cross_multiplied():
@@ -284,10 +290,84 @@ def test_decompose_fails_loudly_on_unbounded_commutative_union():
 
 
 def test_unbounded_equations_propagate():
-    from bck import UnboundedAlgebraError
-
     u = from_table(3, [[0, 0, 0], [1, 0, 1], [2, 2, 0]])
     with pytest.raises(UnboundedAlgebraError):
         ds(u, builtin("DN"))
     with pytest.raises(UnboundedAlgebraError):
         ds(u, builtin("EM"), jobs=2)
+
+
+def _random_term(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(("x", "y", "z", "x", "y", "z", "0", "1"))
+    op = rng.choice((".", ".", "&", "|", "~"))
+    if op == "~":
+        return "~" + _random_term(rng, depth - 1)
+    return f"({_random_term(rng, depth - 1)} {op} {_random_term(rng, depth - 1)})"
+
+
+def _holds_count(alg, eq):
+    # the single-assignment evaluator, summed over the grid: the kernel's oracle
+    grid = itertools.product(alg.elements, repeat=eq.arity)
+    return sum(holds(alg, eq, dict(zip(eq.vars, values))) for values in grid)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except UnboundedAlgebraError as exc:
+        return str(exc)
+
+
+def test_ds_matches_summed_holds_oracle(catalog4):
+    rng = random.Random(4242)
+    unbounded = from_table(3, [[0, 0, 0], [1, 0, 1], [2, 2, 0]])
+    algebras = [e.algebra for e in catalog4.entries] + [chain(n) for n in (2, 3, 5, 7)]
+    algebras.append(unbounded)
+    texts = ["0 = 0", "0 = 1", "1 . 1 = 0", "~1 = 0 | 0"]  # arity 0
+    texts += [f"{_random_term(rng, 3)} = {_random_term(rng, 3)}" for _ in range(40)]
+    raised = 0
+    for alg in algebras:
+        for text in texts:
+            eq = parse(text)
+            expected = _outcome(lambda: (_holds_count(alg, eq), alg.order**eq.arity))
+            got = _outcome(lambda: ds(alg, eq))
+            if not isinstance(got, str):
+                got = (got.count, got.total)
+            assert got == expected, (alg.table, text)
+            raised += isinstance(expected, str)
+    # each of the three messages, and the first one in pre-order when several apply
+    assert {_outcome(lambda: ds(unbounded, parse(t))) for t in ("x = 1", "~x = x", "x | y = x")} == {
+        "the constant 1 needs a greatest element",
+        "negation needs a greatest element",
+        "join needs a greatest element",
+    }
+    assert _outcome(lambda: ds(unbounded, parse("x . (y | 1) = ~x"))) == "join needs a greatest element"
+    assert raised > 0
+    assert ds(unbounded, parse("0 . 0 = 0")).to_json() == {"count": 1, "total": 1, "reduced": "1"}
+    assert ds(chain(4), parse("1 . 1 = 1")).to_json() == {"count": 0, "total": 1, "reduced": "0"}
+
+
+def test_ds_on_grid_larger_than_one_block():
+    n = 110  # 110^3 = 1331000 assignments, more than one block
+    assert n**3 > _BLOCK_CELLS
+    x, y, z = np.ogrid[:n, :n, :n]
+    # on a chain x . y = max(x - y, 0), so both sides have closed forms
+    lhs = np.maximum(x - np.maximum(y - z, 0), 0)
+    rhs = np.maximum(x - y - z, 0)
+    d = ds(chain(n), parse("x . (y . z) = (x . y) . z"))
+    assert (d.count, d.total) == (int(np.count_nonzero(lhs == rhs)), n**3)
+
+
+def test_ds_memory_is_bounded_by_one_block():
+    a = chain(200)  # 8 000 000 assignments; one intp array over them is 64 MB
+    # at its deepest point this equation keeps four intermediates alive
+    eq = parse("x . (y . z) = (x . z) . y & x")
+    tracemalloc.start()
+    try:
+        d = ds(a, eq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.total == 200**3
+    assert peak < 5 * 8 * _BLOCK_CELLS < 8 * a.order**3

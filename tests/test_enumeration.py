@@ -1,11 +1,14 @@
 import itertools
+import json
 import math
 
 import pytest
 
+from bck import enumeration
 from bck import (
     Degree,
     EnumerationLimitError,
+    MalformedTableError,
     audit_bounds,
     bck_union,
     canonical_table,
@@ -22,6 +25,7 @@ from bck import (
     q_algebra,
     save_catalog,
     spectrum,
+    tableio,
     tc,
     two,
     verify_conjectures,
@@ -160,6 +164,23 @@ def test_spectrum_rejects_unknown_kind(catalog3):
         spectrum(catalog3, "xyz")
 
 
+def test_spectrum_computes_only_its_kind(monkeypatch):
+    # each degree is computed when first read, so a spectrum of one kind
+    # evaluates that kind once per algebra and no other kind at all
+    calls = []
+
+    def counted(kind, fn):
+        return lambda algebra: calls.append(kind) or fn(algebra)
+
+    for kind, fn in list(enumeration.DEGREE_FUNCTIONS.items()):
+        monkeypatch.setitem(enumeration.DEGREE_FUNCTIONS, kind, counted(kind, fn))
+    cat = enumerate_algebras(4)
+    rep = spectrum(cat, "cd")
+    spectrum(cat, "cd")
+    assert calls == ["cd"] * len(cat)
+    assert rep.achieved == tuple(sorted({e.degrees["cd"] for e in enumerate_algebras(4).entries}))
+
+
 def test_spectrum_achieved_within_possible(catalog4, catalog5):
     for cat in (catalog4, catalog5):
         for kind in ("dnd", "cd"):
@@ -248,3 +269,31 @@ def test_catalog_persistence_round_trip(tmp_path, catalog4):
         assert a.linear == b.linear
         assert a.commutative == b.commutative
         assert {k: v for k, v in a.degrees.items()} == {k: v for k, v in b.degrees.items()}
+
+
+def _index_record(dirpath, table):
+    index = json.loads((dirpath / "index.json").read_text())
+    for rec in index["algebras"]:
+        if tableio.loads((dirpath / rec["file"]).read_text())[1] == table:
+            return index, rec
+    raise AssertionError(f"{table} not in the catalog")
+
+
+def test_load_catalog_recomputes_tampered_degrees(tmp_path, catalog3):
+    # a stored cd of 1/9 for an algebra whose cd is 7/9 must not reach the audit
+    save_catalog(catalog3, tmp_path / "cat3")
+    index, rec = _index_record(tmp_path / "cat3", [[0, 0, 0], [1, 0, 0], [2, 2, 0]])
+    rec["degrees"]["cd"] = {"count": 1, "total": 9, "reduced": "1/9"}
+    rec["commutative"] = True
+    (tmp_path / "cat3" / "index.json").write_text(json.dumps(index))
+    loaded = load_catalog(tmp_path / "cat3")
+    assert loaded == catalog3
+    assert audit_bounds(loaded) == audit_bounds(catalog3)
+
+
+def test_load_catalog_rejects_table_of_another_order(tmp_path, catalog3):
+    save_catalog(catalog3, tmp_path / "cat3")
+    _, rec = _index_record(tmp_path / "cat3", [[0, 0, 0], [1, 0, 0], [2, 2, 0]])
+    (tmp_path / "cat3" / rec["file"]).write_text(tableio.dumps(4, chain(4).table))
+    with pytest.raises(MalformedTableError, match="has order 4, but the catalog index says 3"):
+        load_catalog(tmp_path / "cat3")
