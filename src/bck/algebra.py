@@ -270,9 +270,11 @@ class BckAlgebra:
 
     def relabel(self, sigma) -> BckAlgebra:
         """Apply a permutation of indices with sigma[0] = 0."""
+        if sorted(sigma) != list(self.elements):
+            raise ValueError(f"sigma must be a permutation of range({self.order}), got {sigma!r}")
         if sigma[0] != 0:
             raise ValueError("relabelings must fix element 0")
-        return from_table(self.order, _apply_perm(self.order, self.table, sigma))
+        return _build(self.order, _apply_perm(self.order, self.table, sigma))
 
 
 def _apply_perm(n, table, sigma):
@@ -308,5 +310,11 @@ def from_table(order: int, table) -> BckAlgebra:
     report = check_axioms(order, table)
     if not report.ok:
         raise BckAxiomError(report)
+    return _build(order, table)
+
+
+def _build(order: int, table) -> BckAlgebra:
+    """The algebra of a table already known to satisfy the axioms: by
+    construction, or as a relabeling of a checked table."""
     frozen = tuple(tuple(int(v) for v in row) for row in table)
     return BckAlgebra(order, frozen, _find_bound(order, frozen))

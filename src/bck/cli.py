@@ -326,6 +326,15 @@ def jobs(text: str) -> int:
     return value
 
 
+def size(text: str) -> int:
+    """argparse type of `family --n` and `gap --max-n`: an integer of at most
+    tableio.MAX_ORDER, checked before any table is built."""
+    value = int(text)
+    if value > tableio.MAX_ORDER:
+        raise argparse.ArgumentTypeError(f"must be at most {tableio.MAX_ORDER}, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="bck", description="Finite BCK-algebra workbench")
     sub = top.add_subparsers(dest="command", required=True)
@@ -351,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("family", cmd_family, help="emit a named family member as a table file")
     p.add_argument("--name", required=True, choices=FAMILY_NAMES)
-    p.add_argument("--n", required=True, type=int)
+    p.add_argument("--n", required=True, type=size)
     p.add_argument("--out")
 
     p = add("construct", cmd_construct, help="combine table files")
@@ -363,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--eq")
     g.add_argument("--kind", choices=tuple(BUILTIN_EQUATIONS))
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=size, required=True)
     p.add_argument("--jobs", type=jobs, default=1, help="accepted; degrees count serially")
 
     p = add("enumerate", cmd_enumerate, help="all algebras of an order up to isomorphism")

@@ -7,41 +7,44 @@ Index layouts are fixed so that emitted tables are byte-stable:
 - iseki_extension(A): the new top gets the last index |A|.
 - direct_product(A, B): row-major pairs, (a, b) maps to a*|B| + b.
 
-Every constructor re-validates its output through the axiom checker.
+The constructors do not run the axiom checker on their output: each
+builds a BCK-algebra by a theorem, and the test suite checks their outputs
+over wide ranges of arguments (tests/test_constructions.py). Tables that
+arrive from outside are checked once, by ``from_table``.
 """
 
 from __future__ import annotations
 
-from .algebra import BckAlgebra, from_table
+from .algebra import BckAlgebra, _build
 
 FAMILY_NAMES = ("C", "D", "Q", "B", "M", "P", "Pprime")
 
 
 def trivial() -> BckAlgebra:
     """The one-element algebra (bounded, with 1 = 0)."""
-    return from_table(1, [[0]])
+    return _build(1, [[0]])
 
 
 def two() -> BckAlgebra:
     """The unique order-2 algebra; implicative."""
-    return from_table(2, [[0, 0], [1, 0]])
+    return _build(2, [[0, 0], [1, 0]])
 
 
 def pi() -> BckAlgebra:
     """Order-3 algebra that is positive implicative but not commutative."""
-    return from_table(3, [[0, 0, 0], [1, 0, 0], [2, 2, 0]])
+    return _build(3, [[0, 0, 0], [1, 0, 0], [2, 2, 0]])
 
 
 def tc() -> BckAlgebra:
     """Order-3 algebra that is commutative but not positive implicative."""
-    return from_table(3, [[0, 0, 0], [1, 0, 0], [2, 1, 0]])
+    return _build(3, [[0, 0, 0], [1, 0, 0], [2, 1, 0]])
 
 
 def chain(n: int) -> BckAlgebra:
     """The chain C_n on {0..n-1} with x*y = max(x-y, 0); linear, commutative."""
     if n < 2:
         raise ValueError(f"chain needs n >= 2, got {n}")
-    return from_table(n, [[max(x - y, 0) for y in range(n)] for x in range(n)])
+    return _build(n, [[max(x - y, 0) for y in range(n)] for x in range(n)])
 
 
 def bck_union(a: BckAlgebra, b: BckAlgebra) -> BckAlgebra:
@@ -65,7 +68,7 @@ def bck_union(a: BckAlgebra, b: BckAlgebra) -> BckAlgebra:
                 t[x][y] = 0 if v == 0 else v + n - 1
             else:
                 t[x][y] = x
-    return from_table(size, t)
+    return _build(size, t)
 
 
 def iseki_extension(a: BckAlgebra) -> BckAlgebra:
@@ -76,7 +79,7 @@ def iseki_extension(a: BckAlgebra) -> BckAlgebra:
     n = a.order
     t = [list(row) + [0] for row in a.table]
     t.append([n] * n + [0])
-    return from_table(n + 1, t)
+    return _build(n + 1, t)
 
 
 def direct_product(a: BckAlgebra, b: BckAlgebra) -> BckAlgebra:
@@ -89,7 +92,7 @@ def direct_product(a: BckAlgebra, b: BckAlgebra) -> BckAlgebra:
             for ya in range(n):
                 for yb in range(m):
                     t[xa * m + xb][ya * m + yb] = a.op(xa, ya) * m + b.op(xb, yb)
-    return from_table(size, t)
+    return _build(size, t)
 
 
 def d_algebra(n: int) -> BckAlgebra:
@@ -105,7 +108,7 @@ def d_algebra(n: int) -> BckAlgebra:
     t = [[max(x - y, 0) for y in range(n)] + [0] for x in range(n)]
     top = [n] + [n - k - 1 for k in range(1, n - 1)] + [1, 0]
     t.append(top)
-    return from_table(n + 1, t)
+    return _build(n + 1, t)
 
 
 def q_algebra(n: int) -> BckAlgebra:
@@ -126,7 +129,7 @@ def q_algebra(n: int) -> BckAlgebra:
                 t[x][y] = x
             else:
                 t[x][y] = 1
-    return from_table(n, t)
+    return _build(n, t)
 
 
 def family(name: str, n: int) -> BckAlgebra:

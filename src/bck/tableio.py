@@ -11,6 +11,11 @@ from __future__ import annotations
 from .algebra import BckAlgebra, from_table
 
 
+# Largest order a table file, `family --n` or `gap --max-n` may ask for; a
+# table of this order has about a million cells.
+MAX_ORDER = 1024
+
+
 class TableFormatError(ValueError):
     pass
 
@@ -26,6 +31,8 @@ def loads(text: str) -> tuple[int, list[list[int]]]:
         raise TableFormatError(f"first line must be the order, got {lines[0]!r}") from None
     if order < 1:
         raise TableFormatError(f"order must be positive, got {order}")
+    if order > MAX_ORDER:
+        raise TableFormatError(f"order must be at most {MAX_ORDER}, got {order}")
     if len(lines) - 1 != order:
         raise TableFormatError(f"expected {order} table rows, got {len(lines) - 1}")
     rows = []

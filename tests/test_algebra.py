@@ -175,6 +175,12 @@ def test_relabel_must_fix_zero():
         pi().relabel((1, 0, 2))
 
 
+@pytest.mark.parametrize("sigma", [(0, 1, 1), (0, 2), (0, 2, 1, 3)])
+def test_relabel_needs_a_permutation(sigma):
+    with pytest.raises(ValueError, match="must be a permutation of range"):
+        pi().relabel(sigma)
+
+
 def test_ops_respect_derived_order_laws():
     # x*0 = x, 0 <= x, and x*y <= x hold in every valid algebra
     for alg in (pi(), tc(), chain(6), d_algebra(5), q_algebra(5), bck_union(pi(), tc())):

@@ -4,6 +4,7 @@ import multiprocessing
 import pytest
 
 from bck import chain, d_algebra, pi, tc, tableio
+from bck import cli
 from bck.cli import main
 
 
@@ -303,6 +304,27 @@ def test_jobs_out_of_range_is_usage_error(capsys, monkeypatch, pi_file, value):
             main(argv + ["--jobs", value])
         assert exc.value.code == 2
         assert f"must be between 1 and 64, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["1025", str(10**6)])
+def test_order_above_ceiling_is_usage_error(capsys, monkeypatch, tmp_path, value):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(cli, "family", no_table)
+    monkeypatch.setattr(cli, "gap_evidence", no_table)
+    for argv in (["family", "--name", "C", "--n", value], ["gap", "--kind", "EM", "--max-n", value]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"must be at most 1024, got {value}" in capsys.readouterr().err
+    # the order line is refused before any row is read
+    path = tmp_path / "huge.tbl"
+    path.write_text(f"{value}\nnot a row\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert f"order must be at most 1024, got {value}" in err
+    assert cli.size("1024") == 1024
 
 
 def test_construct_iseki_needs_exactly_one_file(capsys, pi_file):

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from bck import (
+    FAMILY_NAMES,
     bck_union,
     chain,
     check_axioms,
@@ -158,15 +161,31 @@ def test_family_ranges():
         family("noSuch", 4)
 
 
-def test_constructions_all_validate():
-    builders = [
+def test_constructions_all_validate(small_catalogs):
+    # the constructors do not check their own output; this does
+    built = [
         bck_union(pi(), tc()),
         iseki_extension(q_algebra(4)),
         direct_product(tc(), two()),
-        family("B", 7),
-        family("M", 7),
-        family("P", 7),
-        family("Pprime", 7),
     ]
-    for alg in builders:
-        assert check_axioms(alg.order, alg.table).ok
+    built += [chain(n) for n in range(2, 65)]
+    built += [d_algebra(n) for n in range(3, 65)]
+    built += [q_algebra(n) for n in range(3, 65)]
+    built += [family(name, n) for name in FAMILY_NAMES for n in range(3, 33)]
+    small = [e.algebra for order in range(1, 5) for e in small_catalogs[order].entries]
+    assert len(small) == 19
+    for a in small:
+        built.append(iseki_extension(a))
+        for b in small:
+            built += [bck_union(a, b), direct_product(a, b)]
+    assert max(alg.order for alg in built) == 65
+    rng = random.Random(5)
+    relabeled = []
+    for e in small_catalogs[5].entries:
+        sigma = [0] + rng.sample(range(1, 5), 4)
+        alg = e.algebra.relabel(sigma)
+        assert alg.bound == (None if e.bound is None else sigma[e.bound])
+        relabeled.append(alg)
+    assert any(alg.table != e.algebra.table for alg, e in zip(relabeled, small_catalogs[5].entries))
+    for alg in built + relabeled:
+        assert check_axioms(alg.order, alg.table).ok, alg.table

@@ -59,6 +59,25 @@ def test_enumerate_order_3_against_no_pruning_oracle(catalog3):
     assert sorted(classes) == [e.algebra.table for e in catalog3.entries]
 
 
+def test_enumerate_order_4_against_no_pruning_oracle(catalog4):
+    # every filling of the six free cells of a 4x4 table (row 0, column 0
+    # and the diagonal are fixed by the axioms), checked in full; nothing
+    # of the search's pruning is used
+    free = [(x, y) for x in range(1, 4) for y in range(1, 4) if x != y]
+    valid = []
+    for vals in itertools.product(range(4), repeat=len(free)):
+        t = [[0] * 4] + [[x if y == 0 else 0 for y in range(4)] for x in range(1, 4)]
+        for (x, y), v in zip(free, vals):
+            t[x][y] = v
+        if check_axioms(4, t).ok:
+            valid.append(tuple(tuple(row) for row in t))
+    assert len(valid) == 67
+    assert sorted(valid) == sorted(enumerate_labeled_tables(4))
+    assert sorted({canonical_table(4, t) for t in valid}) == [
+        e.algebra.table for e in catalog4.entries
+    ]
+
+
 def test_enumerate_counts_regression_baselines(catalog4, catalog5):
     # counts first computed by this tool and frozen as baselines
     assert len(catalog4) == 14
