@@ -13,6 +13,7 @@ from .algebra import (
     Element,
     MalformedTableError,
     UnboundedAlgebraError,
+    automorphism_count,
     canonical_table,
     check_axioms,
     from_table,

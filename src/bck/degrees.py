@@ -7,15 +7,16 @@ kernel the large-order axiom checks use too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce, total_ordering
+from functools import total_ordering
 from types import SimpleNamespace
 
 import numpy as np
 
 from .algebra import BckAlgebra, grid_masks
-from .constructions import chain, direct_product, trivial
+from .constructions import chain, direct_product
 from .terms import Equation, builtin, holds
 
 
@@ -27,9 +28,10 @@ class DecompositionError(RuntimeError):
     """No chain-product decomposition exists.
 
     Signals either a bug or an input outside the guarantee: every finite
-    bounded commutative algebra factors into a direct product of chains,
-    but unbounded commutative algebras need not (the three-element union
-    of two two-element chains is the smallest that does not).
+    bounded commutative algebra factors into a direct product of chains
+    (Mundici 1986), but no unbounded algebra does, since every product of
+    chains is bounded (the three-element union of two two-element chains
+    is the smallest unbounded commutative algebra).
     """
 
 
@@ -206,39 +208,50 @@ def gap_evidence(eq: Equation, max_n: int) -> GapEvidence:
 class ChainDecomposition:
     """Multiset of chain lengths whose direct product is isomorphic to the
     input; empty for the one-element algebra. Lengths are all >= 2 and
-    their product is the algebra order."""
+    their product is the algebra order. :func:`decompose_commutative`
+    returns one only after checking an explicit isomorphism onto that
+    product."""
 
     chain_lengths: tuple[int, ...]
-
-
-def _factorizations(n: int, max_factor: int):
-    # non-increasing factor tuples with product n, factors >= 2
-    if n == 1:
-        yield ()
-        return
-    for f in range(min(n, max_factor), 1, -1):
-        if n % f == 0:
-            for rest in _factorizations(n // f, f):
-                yield (f,) + rest
 
 
 def decompose_commutative(algebra: BckAlgebra) -> ChainDecomposition:
     """Factor a commutative algebra into a direct product of chains.
 
-    Searches factor multisets of the order in non-increasing order and
-    returns the first whose chain product is isomorphic to the input; the
-    isomorphism check is part of the search, so a returned decomposition
-    is always verified. Raises :class:`NotCommutativeError` for
-    non-commutative input and :class:`DecompositionError`, loudly, when no
-    decomposition exists (possible only for unbounded commutative input).
+    Every product of chains is bounded, so an unbounded input raises
+    :class:`DecompositionError` at once. For a bounded one the chains are
+    read off the atoms: the chain of atom a is 0 with the elements whose
+    only atom below is a, and e_a is its top. The map x -> (height of
+    e_a ^ x)_a, the height of y being the number of non-zero elements
+    below or equal to it, is then checked in O(n^2 k) to be a bijection
+    onto the product and a homomorphism to its truncated subtraction. So
+    a returned decomposition is always verified; if the check fails, the
+    result is :class:`DecompositionError`, loudly. Raises
+    :class:`NotCommutativeError` for non-commutative input.
     """
     if not algebra.is_commutative():
         raise NotCommutativeError("chain decomposition applies to commutative algebras only")
-    for factors in _factorizations(algebra.order, algebra.order):
-        candidate = reduce(direct_product, (chain(j) for j in factors), trivial())
-        if candidate.is_isomorphic(algebra):
-            return ChainDecomposition(tuple(sorted(factors)))
-    raise DecompositionError(
-        f"no chain-product decomposition of this order-{algebra.order} commutative algebra"
-        + ("" if algebra.bound is not None else " (it is unbounded, so none is guaranteed)")
-    )
+    n = algebra.order
+    failure = f"no chain-product decomposition of this order-{n} commutative algebra"
+    if algebra.bound is None:
+        raise DecompositionError(failure + " (it is unbounded, so none is guaranteed)")
+    t = np.asarray(algebra.table, dtype=np.intp)
+    below = t == 0  # below[x, y]: x <= y
+    height = np.count_nonzero(below, axis=0) - 1
+    over = below[height == 1]  # over[a, x]: atom a <= x
+    lone = np.count_nonzero(over, axis=0) == 1
+    chains = [np.flatnonzero(lone & above) for above in over]
+    lengths = [1 + len(c) for c in chains]
+    if math.prod(lengths) != n:
+        raise DecompositionError(failure)
+    xs = np.arange(n)
+    coords = np.zeros((n, len(chains)), dtype=np.intp)
+    for a, members in enumerate(chains):
+        top = members[height[members].argmax()]
+        coords[:, a] = height[t[xs, t[xs, top]]]  # height of top ^ x
+    radix = np.array([math.prod(lengths[a + 1 :]) for a in range(len(lengths))], dtype=np.intp)
+    bijective = (coords < lengths).all() and len(np.unique(coords @ radix)) == n
+    homomorphic = all((c[t] == np.maximum(c[:, None] - c[None, :], 0)).all() for c in coords.T)
+    if not (bijective and homomorphic):
+        raise DecompositionError(failure)
+    return ChainDecomposition(tuple(sorted(lengths)))

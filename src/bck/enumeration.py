@@ -508,7 +508,9 @@ def _table_hash(order, table) -> str:
 def save_catalog(catalog: Catalog, dirpath) -> None:
     """Persist as one table file per algebra plus a JSON index with flags
     and degrees. :func:`load_catalog` reads back only the tables and
-    recomputes the rest."""
+    recomputes the rest. Once the index is written, ``.tbl`` files it does
+    not name, left by an earlier save into the same directory, are
+    removed; no other file is touched."""
     os.makedirs(dirpath, exist_ok=True)
     index = {"order": catalog.order, "algebras": []}
     for e in catalog.entries:
@@ -532,6 +534,12 @@ def save_catalog(catalog: Catalog, dirpath) -> None:
     with open(os.path.join(dirpath, "index.json"), "w", encoding="utf-8") as fh:
         json.dump(index, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    named = {rec["file"] for rec in index["algebras"]}
+    with os.scandir(dirpath) as entries:
+        stale = [e.path for e in entries
+                 if e.name.endswith(".tbl") and e.name not in named and e.is_file()]
+    for path in stale:
+        os.remove(path)
 
 
 def load_catalog(dirpath) -> Catalog:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -7,10 +8,13 @@ from bck import (
     BckAxiomError,
     MalformedTableError,
     UnboundedAlgebraError,
+    automorphism_count,
     bck_union,
     chain,
     check_axioms,
     d_algebra,
+    direct_product,
+    enumerate_labeled_tables,
     family,
     from_table,
     pi,
@@ -168,6 +172,63 @@ def test_canonical_form_invariant_under_all_relabelings():
         for perm in itertools.permutations(range(1, alg.order)):
             sigma = (0,) + perm
             assert alg.relabel(sigma).canonical_form() == alg.canonical_form()
+
+
+def brute_force_canonical(order, table):
+    """Test oracle: the lexicographically least relabeling fixing 0, found
+    by trying every permutation, and the number of permutations reaching
+    it. The package never imports it."""
+    t = np.array(table, dtype=np.intp)
+    sigmas = np.array([(0,) + p for p in itertools.permutations(range(1, order))], dtype=np.intp)
+    inverses = np.argsort(sigmas, axis=1)
+    # relabeled[s][x][y] = sigma_s(t[sigma_s^-1(x)][sigma_s^-1(y)])
+    moved = t[inverses[:, :, None], inverses[:, None, :]]
+    relabeled = sigmas[np.arange(len(sigmas))[:, None, None], moved].reshape(len(sigmas), -1)
+    least = np.arange(len(sigmas))
+    for cell in range(order * order):
+        values = relabeled[least, cell]
+        least = least[values == values.min()]
+    table = relabeled[least[0]].reshape(order, order)
+    return tuple(tuple(int(v) for v in row) for row in table), len(least)
+
+
+def test_canonical_table_matches_brute_force_on_every_order_5_table():
+    labeled = enumerate_labeled_tables(5)
+    assert len(labeled) == 1735
+    for t in labeled:
+        least, reaching = brute_force_canonical(5, t)
+        assert canonical_table(5, t) == least
+        assert automorphism_count(5, t) == reaching
+
+
+def _relabelings(alg, count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        rest = list(range(1, alg.order))
+        rng.shuffle(rest)
+        yield alg.relabel([0] + rest)
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [chain(8), direct_product(chain(3), chain(3)), d_algebra(7), family("B", 8), q_algebra(8)],
+    ids=["C8", "C3xC3", "D7", "B8", "Q8"],
+)
+def test_canonical_table_matches_brute_force_on_relabeled_algebras(alg):
+    least, reaching = brute_force_canonical(alg.order, alg.table)
+    assert alg.canonical_form() == least
+    for r in _relabelings(alg, 3, seed=alg.order):
+        assert r.canonical_form() == least
+        assert automorphism_count(r.order, r.table) == reaching
+
+
+def test_canonical_form_invariant_under_relabelings_of_c3xc3():
+    # 1000 of the 8! relabelings; all of them take over half a minute
+    alg = direct_product(chain(3), chain(3))
+    canon = alg.canonical_form()
+    assert automorphism_count(9, alg.table) == 2  # the swap of the factors
+    for r in _relabelings(alg, 1000, seed=9):
+        assert r.canonical_form() == canon
 
 
 def test_relabel_must_fix_zero():

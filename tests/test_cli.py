@@ -243,6 +243,19 @@ def test_decompose_product_file(capsys, tmp_path):
     assert rep["results"]["chain_lengths"] == [2, 3]
 
 
+def test_decompose_relabeled_order_16_product(capsys, tmp_path):
+    from bck import direct_product
+
+    square = direct_product(chain(2), chain(2))
+    sigma = [0, 9, 4, 15, 1, 12, 7, 3, 14, 2, 11, 6, 10, 5, 13, 8]
+    product = direct_product(square, square).relabel(sigma)
+    f = tmp_path / "c2x4.tbl"
+    tableio.dump_algebra(f, product)
+    code, rep = run_json(capsys, "decompose", str(f))
+    assert code == 0
+    assert rep["results"]["chain_lengths"] == [2, 2, 2, 2]
+
+
 def test_decompose_noncommutative_exits_1(capsys, pi_file):
     code, _, err = run(capsys, "decompose", pi_file)
     assert code == 1

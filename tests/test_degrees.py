@@ -282,11 +282,41 @@ def test_decompose_rejects_noncommutative():
 
 
 def test_decompose_fails_loudly_on_unbounded_commutative_union():
-    # commutative but unbounded: no direct product of chains exists
-    u = bck_union(two(), two())
-    assert u.is_commutative()
-    with pytest.raises(DecompositionError):
-        decompose_commutative(u)
+    # commutative but unbounded: no direct product of chains exists, and
+    # `bck audit` reports this text verbatim
+    for u in (bck_union(two(), two()), family("P", 5)):
+        assert u.is_commutative()
+        with pytest.raises(DecompositionError) as info:
+            decompose_commutative(u)
+        assert str(info.value) == (
+            f"no chain-product decomposition of this order-{u.order} commutative algebra"
+            " (it is unbounded, so none is guaranteed)"
+        )
+
+
+@pytest.mark.parametrize("lengths", [(2, 2, 2, 2), (3, 4, 5), (2, 3, 4, 5), (5, 2, 3)])
+def test_decompose_relabeled_chain_products(lengths):
+    product = trivial()
+    for m in lengths:
+        product = direct_product(product, chain(m))
+    rng = random.Random(product.order)
+    for _ in range(3):
+        rest = list(range(1, product.order))
+        rng.shuffle(rest)
+        relabeled = product.relabel([0] + rest)
+        assert decompose_commutative(relabeled) == ChainDecomposition(tuple(sorted(lengths)))
+
+
+def test_decompose_refuses_a_map_that_is_no_isomorphism():
+    # ordered like C4, bounded, meets commute, one atom: the chain read off
+    # the atom has length 4, but 3*2 = 2 where C4 has 1. Not a BCK-algebra,
+    # so it is built past the axiom check to reach the isomorphism check.
+    from bck.algebra import _build
+
+    fake = _build(4, [[0, 0, 0, 0], [1, 0, 0, 0], [2, 1, 0, 0], [3, 1, 2, 0]])
+    assert fake.bound == 3 and fake.is_commutative() and fake.atoms() == {1}
+    with pytest.raises(DecompositionError, match="^no chain-product decomposition of this order-4"):
+        decompose_commutative(fake)
 
 
 def test_unbounded_equations_propagate():

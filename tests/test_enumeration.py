@@ -10,6 +10,7 @@ from bck import (
     EnumerationLimitError,
     MalformedTableError,
     audit_bounds,
+    automorphism_count,
     bck_union,
     canonical_table,
     chain,
@@ -84,12 +85,28 @@ def test_enumerate_counts_regression_baselines(catalog4, catalog5):
     assert len(catalog5) == 88
 
 
+def _burnside_sum(catalog):
+    # each class of an order-n catalog has (n-1)!/|Aut| labeled tables
+    perms = math.factorial(catalog.order - 1)
+    auts = [automorphism_count(catalog.order, e.algebra.table) for e in catalog.entries]
+    assert all(perms % a == 0 for a in auts)  # Lagrange
+    return sum(perms // a for a in auts)
+
+
+@pytest.mark.parametrize("n, labeled", [(3, 5), (4, 67), (5, 1735)])
+def test_burnside_sum_over_catalog_counts_labeled_tables(small_catalogs, n, labeled):
+    # checks the catalog's deduplication by a count it does not use
+    assert len(enumerate_labeled_tables(n)) == labeled
+    assert _burnside_sum(small_catalogs[n]) == labeled
+
+
 @pytest.mark.slow
 def test_enumerate_order_6_regression_baseline():
     cat = enumerate_algebras(6, jobs=8)
     assert len(cat) == 775
     assert sum(1 for e in cat.entries if e.bound is not None) == 267
     assert sum(1 for e in cat.entries if e.commutative) == 28
+    assert _burnside_sum(cat) == 78216
 
 
 def test_dedup_is_sound_at_order_4(catalog4):
@@ -288,6 +305,19 @@ def test_catalog_persistence_round_trip(tmp_path, catalog4):
         assert a.linear == b.linear
         assert a.commutative == b.commutative
         assert {k: v for k, v in a.degrees.items()} == {k: v for k, v in b.degrees.items()}
+
+
+def test_save_catalog_removes_stale_table_files(tmp_path, catalog3, catalog4):
+    d = tmp_path / "cat"
+    save_catalog(catalog4, d)
+    (d / "notes.txt").write_text("kept")
+    save_catalog(catalog3, d)
+    index = json.loads((d / "index.json").read_text())
+    tables = sorted(p.name for p in d.iterdir() if p.suffix == ".tbl")
+    assert len(index["algebras"]) == 3
+    assert tables == sorted(rec["file"] for rec in index["algebras"])
+    assert (d / "notes.txt").read_text() == "kept"
+    assert load_catalog(d) == catalog3
 
 
 def _index_record(dirpath, table):
