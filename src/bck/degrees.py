@@ -250,7 +250,7 @@ def decompose_commutative(algebra: BckAlgebra) -> ChainDecomposition:
         top = members[height[members].argmax()]
         coords[:, a] = height[t[xs, t[xs, top]]]  # height of top ^ x
     radix = np.array([math.prod(lengths[a + 1 :]) for a in range(len(lengths))], dtype=np.intp)
-    bijective = (coords < lengths).all() and len(np.unique(coords @ radix)) == n
+    bijective = (coords < lengths).all() and len(set((coords @ radix).tolist())) == n
     homomorphic = all((c[t] == np.maximum(c[:, None] - c[None, :], 0)).all() for c in coords.T)
     if not (bijective and homomorphic):
         raise DecompositionError(failure)
