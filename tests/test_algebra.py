@@ -201,6 +201,18 @@ def test_canonical_table_matches_brute_force_on_every_order_5_table():
         assert automorphism_count(5, t) == reaching
 
 
+@pytest.mark.parametrize("order", [6, 7])
+def test_canonical_table_matches_brute_force_on_random_tables(order):
+    # the definition covers any table over range(order), and tables with
+    # no structure reach branches of the search that algebras do not
+    rng = random.Random(order)
+    for _ in range(200):
+        t = [[rng.randrange(order) for _ in range(order)] for _ in range(order)]
+        least, reaching = brute_force_canonical(order, t)
+        assert canonical_table(order, t) == least
+        assert automorphism_count(order, t) == reaching
+
+
 def _relabelings(alg, count, seed):
     rng = random.Random(seed)
     for _ in range(count):
