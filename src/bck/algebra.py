@@ -11,13 +11,17 @@ A BCK-algebra is an algebra <A; *, 0> satisfying, for all x, y, z:
 Carrier elements are the integers 0..n-1; index 0 is always the constant 0.
 The derived partial order is x <= y iff x*y = 0, and x*0 = x is a theorem
 (checked here as its own diagnostic class, X0).
+
+Each algebra holds its table as one read-only intp array, made once where
+the table enters (the shape check, or a constructor); every layer reads it.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,17 +70,31 @@ class AxiomReport:
         return None
 
 
-def _validate_shape(order, table) -> None:
-    if not isinstance(order, int) or order < 1:
+def _validate_shape(order, table) -> np.ndarray:
+    """``table`` as a new intp array, once it is known to be an order x order
+    table of integers (Python or numpy, not bool) in range(order). The
+    error names the first bad row or cell in row-major order."""
+    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
         raise MalformedTableError(f"order must be a positive integer, got {order!r}")
     if len(table) != order:
         raise MalformedTableError(f"expected {order} rows, got {len(table)}")
     for x, row in enumerate(table):
         if len(row) != order:
             raise MalformedTableError(f"row {x} has {len(row)} entries, expected {order}")
+    if isinstance(table, np.ndarray) and table.ndim == 2:
+        kinds = {table.dtype.type}
+    else:
+        kinds = set(map(type, itertools.chain.from_iterable(table)))
+    if all(issubclass(k, (int, np.integer)) and not issubclass(k, bool) for k in kinds):
+        with contextlib.suppress(OverflowError):  # an entry beyond intp is out of range
+            t = np.array(table, dtype=np.intp)
+            if t.view(np.uintp).max() < order:  # read as unsigned, negative entries are huge
+                return t
+    for x, row in enumerate(table):
         for y, v in enumerate(row):
             if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or not 0 <= v < order:
                 raise MalformedTableError(f"entry ({x},{y}) = {v!r} outside [0, {order})")
+    return np.array(table, dtype=np.intp)  # an object array of valid entries
 
 
 def _check_small(n, t) -> list[tuple[str, tuple[int, ...]]]:
@@ -118,17 +136,16 @@ def _check_small(n, t) -> list[tuple[str, tuple[int, ...]]]:
 _BLOCK_CELLS = 1 << 20
 
 
-def grid_masks(table, arity: int, mask):
+def grid_masks(t: np.ndarray, arity: int, mask):
     """The gather kernel: evaluate ``mask`` over A^arity in row-major blocks.
 
-    ``mask(t, *args)`` gets the table as an array and one array per
-    variable, broadcast over at most ``_BLOCK_CELLS`` assignments, and
-    returns a boolean array over them. Yields ``(start, mask)`` per block,
-    ``start`` being the row-major index of its first assignment, so a
-    block's first marked cell is also the lexicographically first among
-    those not yet seen.
+    ``mask(t, *args)`` gets the table as an intp array (``BckAlgebra.array``)
+    and one array per variable, broadcast over at most ``_BLOCK_CELLS``
+    assignments, and returns a boolean array over them. Yields
+    ``(start, mask)`` per block, ``start`` being the row-major index of its
+    first assignment, so a block's first marked cell is also the
+    lexicographically first among those not yet seen.
     """
-    t = np.asarray(table, dtype=np.intp)
     n = len(t)
     if n**arity <= _BLOCK_CELLS:
         yield 0, mask(t, *_axes(n, arity))
@@ -170,10 +187,14 @@ def check_axioms(order: int, table) -> AxiomReport:
     axiom class. Raises :class:`MalformedTableError` for structural problems,
     which are distinct from axiom violations.
     """
-    _validate_shape(order, table)
+    return _axiom_report(_validate_shape(order, table))
+
+
+def _axiom_report(t: np.ndarray) -> AxiomReport:
+    # the axiom check of a table array that passed the shape check
+    order = len(t)
     if order < _VECTORIZE_MIN_ORDER:
-        return AxiomReport(tuple(_check_small(order, [list(row) for row in table])))
-    t = np.asarray(table, dtype=np.intp)
+        return AxiomReport(tuple(_check_small(order, t.tolist())))
     viol = []
     for axiom, arity, fails in _AXIOM_FAILURES:
         blocks = grid_masks(t, arity, fails)
@@ -183,26 +204,21 @@ def check_axioms(order: int, table) -> AxiomReport:
     return AxiomReport(tuple(viol))
 
 
-def _find_bound(order, table) -> int | None:
-    for m in range(order):
-        if all(table[x][m] == 0 for x in range(order)):
-            return m
-    return None
-
-
 @dataclass(frozen=True)
 class BckAlgebra:
     """Immutable finite BCK-algebra.
 
-    ``table[x][y]`` is x*y. ``bound`` is the greatest element when one
-    exists (unique by BCK5), else None. Instances are safe to share across
-    workers; all operations are pure. Use :func:`from_table` to construct
-    with validation.
+    ``array`` is the table as a read-only intp array, made once; equality,
+    hashing and repr ignore it. ``table[x][y]``, its tuple view, is x*y.
+    ``bound`` is the greatest element when one exists (unique by BCK5), else
+    None. Instances are safe to share across workers; all operations are
+    pure. Use :func:`from_table` to construct with validation.
     """
 
     order: int
     table: tuple[tuple[int, ...], ...]
     bound: int | None
+    array: np.ndarray = field(compare=False, repr=False)
 
     @property
     def elements(self) -> range:
@@ -234,34 +250,28 @@ class BckAlgebra:
         return self.neg(self.meet(self.neg(x), self.neg(y)))
 
     def is_linear(self) -> bool:
-        return all(
-            self.leq(x, y) or self.leq(y, x)
-            for x in self.elements
-            for y in range(x + 1, self.order)
-        )
+        below = self.array == 0
+        return bool((below | below.T).all())
 
     def is_commutative(self) -> bool:
-        return all(
-            self.meet(x, y) == self.meet(y, x)
-            for x in self.elements
-            for y in range(x + 1, self.order)
-        )
+        t = self.array
+        meets = t[np.arange(self.order)[:, None], t]  # meets[y, x] = y*(y*x) = x ^ y
+        return bool((meets == meets.T).all())
 
     def is_positive_implicative(self) -> bool:
-        t = self.table
-        return all(t[x][y] == t[t[x][y]][y] for x in self.elements for y in self.elements)
+        t = self.array
+        return bool((t == t[t, np.arange(self.order)]).all())  # x*y = (x*y)*y
 
     def is_implicative(self) -> bool:
-        t = self.table
-        return all(t[x][t[y][x]] == x for x in self.elements for y in self.elements)
+        t = self.array
+        xs = np.arange(self.order)[:, None]
+        return bool((t[xs, t.T] == xs).all())  # x*(y*x) = x
 
     def atoms(self) -> set[int]:
         """Minimal elements among the non-zero elements."""
-        return {
-            x
-            for x in range(1, self.order)
-            if not any(y != x and self.leq(y, x) for y in range(1, self.order))
-        }
+        below = self.array[1:, 1:] == 0
+        np.fill_diagonal(below, False)
+        return set((np.flatnonzero(~below.any(axis=0)) + 1).tolist())
 
     def canonical_form(self) -> tuple[tuple[int, ...], ...]:
         return canonical_table(self.order, self.table)
@@ -275,17 +285,10 @@ class BckAlgebra:
             raise ValueError(f"sigma must be a permutation of range({self.order}), got {sigma!r}")
         if sigma[0] != 0:
             raise ValueError("relabelings must fix element 0")
-        return _build(self.order, _apply_perm(self.order, self.table, sigma))
-
-
-def _apply_perm(n, table, sigma):
-    new = [[0] * n for _ in range(n)]
-    for x in range(n):
-        sx = sigma[x]
-        row = table[x]
-        for y in range(n):
-            new[sx][sigma[y]] = sigma[row[y]]
-    return new
+        s = np.asarray(sigma, dtype=np.intp)
+        t = np.empty_like(self.array)
+        t[s[:, None], s] = s[self.array]  # sigma(x)*sigma(y) = sigma(x*y)
+        return _build(self.order, t)
 
 
 def canonical_table(order: int, table) -> tuple[tuple[int, ...], ...]:
@@ -313,9 +316,9 @@ def automorphism_count(order: int, table) -> int:
     return _canonical_search(order, table)[1]
 
 
-def _canonical_search(order: int, table) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The least relabeling of ``table`` fixing 0, and how many relabelings
-    reach it.
+def _canonical_search(order: int, t) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The least relabeling of table ``t`` fixing 0, and how many
+    relabelings reach it.
 
     Depth first, the search picks the element that gets label 1, then
     label 2, and so on. With labels 0..k-1 given, row i of the relabeled
@@ -326,8 +329,10 @@ def _canonical_search(order: int, table) -> tuple[tuple[tuple[int, ...], ...], i
     table found so far, and a child is cut only if it is strictly greater.
     Children are tried in increasing order of their bounds, so the first
     table found is usually the least one and the rest are cut early.
+
+    The search reads single cells, so ``t`` is read as given, with no
+    copy; nested tuples or lists (``BckAlgebra.table``) are read fastest.
     """
-    t = [[int(v) for v in row] for row in table]
     label = [0] * order  # an element's label; while unlabeled, a bound on it
     lab = label.__getitem__
     labeled = [0]  # labeled[i] is the element labeled i
@@ -399,14 +404,19 @@ def from_table(order: int, table) -> BckAlgebra:
 
     Raises :class:`BckAxiomError` (carrying the report) if any axiom fails.
     """
-    report = check_axioms(order, table)
+    t = _validate_shape(order, table)
+    report = _axiom_report(t)
     if not report.ok:
         raise BckAxiomError(report)
-    return _build(order, table)
+    return _build(order, t)
 
 
 def _build(order: int, table) -> BckAlgebra:
     """The algebra of a table already known to satisfy the axioms: by
-    construction, or as a relabeling of a checked table."""
-    frozen = tuple(tuple(int(v) for v in row) for row in table)
-    return BckAlgebra(order, frozen, _find_bound(order, frozen))
+    construction, or as a relabeling of a checked table. ``table`` may be
+    an intp array the algebra then owns."""
+    t = np.asarray(table, dtype=np.intp)
+    t.flags.writeable = False
+    zero_columns = ~t.any(axis=0)  # the bound m has x*m = 0 for every x
+    bound = int(zero_columns.argmax()) if zero_columns.any() else None
+    return BckAlgebra(order, tuple(map(tuple, t.tolist())), bound, t)

@@ -7,13 +7,16 @@ Index layouts are fixed so that emitted tables are byte-stable:
 - iseki_extension(A): the new top gets the last index |A|.
 - direct_product(A, B): row-major pairs, (a, b) maps to a*|B| + b.
 
-The constructors do not run the axiom checker on their output: each
+Each constructor broadcasts its operands' arrays into one table array and
+builds its algebra once. None runs the axiom checker on its output: each
 builds a BCK-algebra by a theorem, and the test suite checks their outputs
 over wide ranges of arguments (tests/test_constructions.py). Tables that
 arrive from outside are checked once, by ``from_table``.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .algebra import BckAlgebra, _build
 
@@ -44,31 +47,33 @@ def chain(n: int) -> BckAlgebra:
     """The chain C_n on {0..n-1} with x*y = max(x-y, 0); linear, commutative."""
     if n < 2:
         raise ValueError(f"chain needs n >= 2, got {n}")
-    return _build(n, [[max(x - y, 0) for y in range(n)] for x in range(n)])
+    x = np.arange(n)
+    return _build(n, np.maximum(x[:, None] - x, 0))
+
+
+def _union(s: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # bck_union on tables: x*y = x across components
+    n, size = len(s), len(s) + len(u) - 1
+    t = np.repeat(np.arange(size), size).reshape(size, size)
+    t[:n, :n] = s
+    lift = np.r_[0, n:size]  # u's element j in the union
+    t[np.ix_(lift, lift)] = lift[u]
+    return t
 
 
 def bck_union(a: BckAlgebra, b: BckAlgebra) -> BckAlgebra:
     """Disjoint union glued at 0: x*y is the component operation when x, y
     share a component, else x. Order |A| + |B| - 1."""
-    n, m = a.order, b.order
-    size = n + m - 1
-    t = [[0] * size for _ in range(size)]
-    for x in range(size):
-        for y in range(size):
-            in_a = x < n
-            in_b = x == 0 or x >= n
-            y_in_a = y < n
-            y_in_b = y == 0 or y >= n
-            if in_a and y_in_a:
-                t[x][y] = a.op(x, y)
-            elif in_b and y_in_b:
-                bx = 0 if x == 0 else x - n + 1
-                by = 0 if y == 0 else y - n + 1
-                v = b.op(bx, by)
-                t[x][y] = 0 if v == 0 else v + n - 1
-            else:
-                t[x][y] = x
-    return _build(size, t)
+    return _build(a.order + b.order - 1, _union(a.array, b.array))
+
+
+def _iseki(s: np.ndarray) -> np.ndarray:
+    # iseki_extension on tables
+    n = len(s)
+    t = np.zeros((n + 1, n + 1), dtype=np.intp)
+    t[:n, :n] = s
+    t[n, :n] = n
+    return t
 
 
 def iseki_extension(a: BckAlgebra) -> BckAlgebra:
@@ -76,23 +81,15 @@ def iseki_extension(a: BckAlgebra) -> BckAlgebra:
 
     The result is bounded, and non-commutative whenever |A| >= 2.
     """
-    n = a.order
-    t = [list(row) + [0] for row in a.table]
-    t.append([n] * n + [0])
-    return _build(n + 1, t)
+    return _build(a.order + 1, _iseki(a.array))
 
 
 def direct_product(a: BckAlgebra, b: BckAlgebra) -> BckAlgebra:
     """Componentwise product on pairs; (0, 0) is index 0."""
     n, m = a.order, b.order
-    size = n * m
-    t = [[0] * size for _ in range(size)]
-    for xa in range(n):
-        for xb in range(m):
-            for ya in range(n):
-                for yb in range(m):
-                    t[xa * m + xb][ya * m + yb] = a.op(xa, ya) * m + b.op(xb, yb)
-    return _build(size, t)
+    # axes (xa, xb, ya, yb), so rows are xa*m + xb and columns ya*m + yb
+    t = a.array[:, None, :, None] * m + b.array[None, :, None, :]
+    return _build(n * m, t.reshape(n * m, n * m))
 
 
 def d_algebra(n: int) -> BckAlgebra:
@@ -105,9 +102,9 @@ def d_algebra(n: int) -> BckAlgebra:
     """
     if n < 3:
         raise ValueError(f"d_algebra needs n >= 3, got {n}")
-    t = [[max(x - y, 0) for y in range(n)] + [0] for x in range(n)]
-    top = [n] + [n - k - 1 for k in range(1, n - 1)] + [1, 0]
-    t.append(top)
+    x = np.arange(n)
+    t = _iseki(np.maximum(x[:, None] - x, 0))  # C_n and a top, whose row is changed
+    t[n, 1:n] = np.r_[n - 2 : 0 : -1, 1]  # n*k = n-k-1, n*(n-1) = 1
     return _build(n + 1, t)
 
 
@@ -120,15 +117,11 @@ def q_algebra(n: int) -> BckAlgebra:
     """
     if n < 3:
         raise ValueError(f"q_algebra needs n >= 3, got {n}")
-    t = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            if x == 0 or x == y or (x == 1 and y >= 2):
-                t[x][y] = 0
-            elif y == 0:
-                t[x][y] = x
-            else:
-                t[x][y] = 1
+    t = np.ones((n, n), dtype=np.intp)  # b_i*a = b_i*b_j = a
+    t[:, 0] = np.arange(n)
+    t[0] = 0
+    t[1, 2:] = 0  # a <= b_i
+    np.fill_diagonal(t, 0)
     return _build(n, t)
 
 
@@ -157,7 +150,7 @@ def family(name: str, n: int) -> BckAlgebra:
         raise ValueError(f"unknown family {name!r}, expected one of {FAMILY_NAMES}")
     if n < 3:
         raise ValueError(f"family {name} needs n >= 3, got {n}")
-    a = pi() if name in ("B", "M") else tc()
+    t = (pi() if name in ("B", "M") else tc()).array
     for _ in range(n - 3):
-        a = bck_union(a, two()) if name in ("B", "P") else iseki_extension(a)
-    return a
+        t = _union(t, two().array) if name in ("B", "P") else _iseki(t)
+    return _build(n, t)

@@ -98,7 +98,7 @@ def ds(algebra: BckAlgebra, eq: Equation, jobs: int = 1) -> Degree:
         gathers = SimpleNamespace(op=lambda x, y: t[x, y], bound=algebra.bound)
         return holds(gathers, eq, dict(zip(eq.vars, args)))
 
-    blocks = grid_masks(algebra.table, eq.arity, holding)
+    blocks = grid_masks(algebra.array, eq.arity, holding)
     count = sum(int(np.count_nonzero(mask)) for _, mask in blocks)
     return Degree(count, algebra.order**eq.arity)
 
@@ -235,7 +235,7 @@ def decompose_commutative(algebra: BckAlgebra) -> ChainDecomposition:
     failure = f"no chain-product decomposition of this order-{n} commutative algebra"
     if algebra.bound is None:
         raise DecompositionError(failure + " (it is unbounded, so none is guaranteed)")
-    t = np.asarray(algebra.table, dtype=np.intp)
+    t = algebra.array
     below = t == 0  # below[x, y]: x <= y
     height = np.count_nonzero(below, axis=0) - 1
     over = below[height == 1]  # over[a, x]: atom a <= x

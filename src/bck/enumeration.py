@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import tableio
-from .algebra import BckAlgebra, MalformedTableError, _build, canonical_table, check_axioms
+from .algebra import BckAlgebra, MalformedTableError, _build, _check_small, canonical_table
 from .degrees import DEGREE_FUNCTIONS, Degree, DecompositionError, decompose_commutative
 
 PRACTICAL_MAX_ORDER = 6
@@ -150,14 +150,14 @@ def _place(n, t, forced, a, b, v):
     return added
 
 
-def _search(n, t, forced, cells, start, emit, budget):
-    """Depth-first completion from cell index ``start``. ``emit`` receives
-    each completed table that passes the full axiom check. ``budget`` is a
-    one-element list of remaining placements, or None for unlimited."""
+def _search(n, t, forced, cells, start, leaf, budget):
+    """Depth-first fill of ``cells`` from index ``start``: place each
+    consistent value, recurse, undo. ``leaf()`` runs at every consistent
+    fill of all of ``cells``, with the state in ``t`` and ``forced``.
+    ``budget`` is a one-element list of remaining placements, or None for
+    unlimited."""
     if start == len(cells):
-        rows = [list(row) for row in t]
-        if check_axioms(n, rows).ok:
-            emit(tuple(tuple(row) for row in rows))
+        leaf()
         return
     a, b = cells[start]
     for v in range(n):
@@ -168,45 +168,26 @@ def _search(n, t, forced, cells, start, emit, budget):
         added = _place(n, t, forced, a, b, v)
         if added is None:
             continue
-        _search(n, t, forced, cells, start + 1, emit, budget)
+        _search(n, t, forced, cells, start + 1, leaf, budget)
         for cell in added:
             del forced[cell]
         t[a][b] = None
 
 
-def _expand_states(n, cells, depth):
-    """All consistent partial fills of the first ``depth`` cells, for
-    splitting the search across workers."""
-    states = []
-    t = _initial_table(n)
-    forced: dict[tuple[int, int], int] = {}
-
-    def rec(i):
-        if i == depth or i == len(cells):
-            states.append(([row[:] for row in t], dict(forced), i))
-            return
-        a, b = cells[i]
-        for v in range(n):
-            added = _place(n, t, forced, a, b, v)
-            if added is None:
-                continue
-            rec(i + 1)
-            for cell in added:
-                del forced[cell]
-            t[a][b] = None
-
-    rec(0)
-    return states
-
-
 def _complete_state(args):
     n, t, forced, start, canonicalize, max_nodes = args
-    cells = _free_cells(n)
     found: list[tuple] = []
     budget = None if max_nodes is None else [max_nodes]
-    emit = (lambda tab: found.append(canonical_table(n, tab))) if canonicalize else found.append
+
+    def leaf():
+        # the one axiom check of a completed table, on the search's own
+        # rows: they need no shape check and no copy
+        if not _check_small(n, t):
+            table = tuple(map(tuple, t))
+            found.append(canonical_table(n, table) if canonicalize else table)
+
     try:
-        _search(n, t, forced, cells, start, emit, budget)
+        _search(n, t, forced, _free_cells(n), start, leaf, budget)
     except EnumerationLimitError:
         raise EnumerationLimitError(max_nodes, len(found)) from None
     return found
@@ -299,9 +280,14 @@ def enumerate_algebras(n: int, jobs: int = 1, max_nodes: int | None = None) -> C
             RuntimeWarning,
             stacklevel=2,
         )
-    cells = _free_cells(n)
-    states = _expand_states(n, cells, min(2, len(cells)))
-    tasks = [(n, t, forced, i, True, max_nodes) for (t, forced, i) in states]
+    # one search task per consistent fill of the first two free cells
+    t, forced, split = _initial_table(n), {}, _free_cells(n)[:2]
+    tasks = []
+
+    def snapshot():
+        tasks.append((n, [row[:] for row in t], dict(forced), len(split), True, max_nodes))
+
+    _search(n, t, forced, split, 0, snapshot, None)
     if jobs <= 1:
         results = [_complete_state(task) for task in tasks]
     else:

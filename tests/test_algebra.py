@@ -1,10 +1,13 @@
 import itertools
+import json
 import random
+import re
 
 import numpy as np
 import pytest
 
 from bck import (
+    FAMILY_NAMES,
     BckAxiomError,
     MalformedTableError,
     UnboundedAlgebraError,
@@ -60,6 +63,38 @@ def test_malformed_tables_raise_structural_error():
         check_axioms(2, [[0, 5], [1, 0]])
     with pytest.raises(MalformedTableError):
         check_axioms(0, [])
+
+
+@pytest.mark.parametrize(
+    "order, table, message",
+    [
+        # each bad table has a second bad cell at (1,1); the first one counts
+        (2, [[0, True], [1, 2]], "entry (0,1) = True outside [0, 2)"),
+        (2, [[0, 0.0], [1, 2]], "entry (0,1) = 0.0 outside [0, 2)"),
+        (2, [[0, np.float64(0)], [1, 2]], "entry (0,1) = np.float64(0.0) outside [0, 2)"),
+        (2, [[0, "0"], [1, 2]], "entry (0,1) = '0' outside [0, 2)"),
+        (2, [[0, -1], [1, 2]], "entry (0,1) = -1 outside [0, 2)"),
+        (2, [[0, 2], [1, 2]], "entry (0,1) = 2 outside [0, 2)"),
+        (2, [[0, 0], [1]], "row 1 has 1 entries, expected 2"),
+        (2, [[0, 0]], "expected 2 rows, got 1"),
+        (0, [], "order must be a positive integer, got 0"),
+        (2.0, [[0, 0], [1, 0]], "order must be a positive integer, got 2.0"),
+        (True, [[0]], "order must be a positive integer, got True"),
+        (2, [[np.int8(0), np.int8(0)], [np.int8(1), np.int8(0)]], None),
+        (2, np.array([[0, 0], [1, 0]], dtype=np.intp), None),
+        (2, ((0, 0), (1, 0)), None),
+    ],
+)
+def test_shape_check(order, table, message):
+    if message is None:
+        assert check_axioms(order, table).ok
+        assert from_table(order, table) == two()
+        if isinstance(table, np.ndarray):
+            assert table.flags.writeable  # the algebra keeps a copy
+        return
+    for check in (check_axioms, from_table):
+        with pytest.raises(MalformedTableError, match=f"^{re.escape(message)}$"):
+            check(order, table)
 
 
 def test_from_table_rejects_invalid_with_report():
@@ -149,6 +184,47 @@ def test_atoms():
     assert len(family("B", 5).atoms()) == 3
     assert chain(6).atoms() == {1}
     assert from_table(3, UNION_22_TABLE).atoms() == {1, 2}
+
+
+def test_array_is_the_table():
+    for alg in (pi(), chain(7), family("B", 9), from_table(3, UNION_22_TABLE)):
+        t = alg.array
+        assert t.dtype == np.intp and not t.flags.writeable
+        assert t.tolist() == [list(row) for row in alg.table]
+        assert "array" not in repr(alg)
+    other = from_table(3, PI_TABLE)
+    assert other == pi() and hash(other) == hash(pi()) and other.array is not pi().array
+    # every public value is a plain Python scalar, so reports stay JSON
+    alg = family("M", 6)
+    flags = [alg.is_linear(), alg.is_commutative(), alg.is_positive_implicative(),
+             alg.is_implicative()]
+    assert all(type(f) is bool for f in flags)
+    assert type(alg.bound) is int and all(type(a) is int for a in alg.atoms())
+    assert all(type(v) is int for row in alg.table for v in row)
+    json.dumps([alg.table, alg.bound, flags, sorted(alg.atoms())])
+
+
+def _flags_by_definition(alg):
+    els = alg.elements
+    pairs = list(itertools.product(els, els))
+    return (
+        all(alg.leq(x, y) or alg.leq(y, x) for x, y in pairs),
+        all(alg.meet(x, y) == alg.meet(y, x) for x, y in pairs),
+        all(alg.op(x, y) == alg.op(alg.op(x, y), y) for x, y in pairs),
+        all(alg.op(x, alg.op(y, x)) == x for x, y in pairs),
+        {x for x in els if x and not any(y and y != x and alg.leq(y, x) for y in els)},
+    )
+
+
+def test_flags_and_atoms_match_their_definitions(small_catalogs):
+    algebras = [e.algebra for cat in small_catalogs.values() for e in cat.entries]
+    algebras += [family(name, n) for name in FAMILY_NAMES for n in (3, 4, 9)]
+    algebras += [direct_product(chain(3), pi()), bck_union(tc(), q_algebra(4))]
+    algebras += [alg.relabel([0] + list(range(alg.order - 1, 0, -1))) for alg in algebras]
+    for alg in algebras:
+        flags = (alg.is_linear(), alg.is_commutative(), alg.is_positive_implicative(),
+                 alg.is_implicative(), alg.atoms())
+        assert flags == _flags_by_definition(alg), alg.table
 
 
 def test_canonical_form_idempotent():
