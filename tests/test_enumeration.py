@@ -60,7 +60,7 @@ def test_enumerate_order_3_against_no_pruning_oracle(catalog3):
     assert sorted(classes) == [e.algebra.table for e in catalog3.entries]
 
 
-def test_enumerate_order_4_against_no_pruning_oracle(catalog4):
+def test_enumerate_order_4_against_no_pruning_oracle(monkeypatch, catalog4):
     # every filling of the six free cells of a 4x4 table (row 0, column 0
     # and the diagonal are fixed by the axioms), checked in full; nothing
     # of the search's pruning is used
@@ -77,6 +77,8 @@ def test_enumerate_order_4_against_no_pruning_oracle(catalog4):
     assert sorted({canonical_table(4, t) for t in valid}) == [
         e.algebra.table for e in catalog4.entries
     ]
+    reduced = [t for t in valid if _zero_free_below_diagonal(t)]
+    assert sorted(_reduced_tables(monkeypatch, 4)) == sorted(reduced)
 
 
 def test_enumerate_counts_regression_baselines(catalog4, catalog5):
@@ -100,13 +102,65 @@ def test_burnside_sum_over_catalog_counts_labeled_tables(small_catalogs, n, labe
     assert _burnside_sum(small_catalogs[n]) == labeled
 
 
-@pytest.mark.slow
+def _linear_extensions(order, table):
+    # relabelings fixing 0 under which x*y = 0 implies x <= y, by brute force
+    below = [(x, y) for x in range(1, order) for y in range(1, order)
+             if x != y and table[x][y] == 0]
+    count = 0
+    for perm in itertools.permutations(range(1, order)):
+        label = (0,) + perm
+        count += all(label[x] < label[y] for x, y in below)
+    return count
+
+
+def _linear_extension_sum(catalog):
+    # automorphisms preserve the order and act freely on its linear
+    # extensions, so each class has e(P)/|Aut| labelings of that kind
+    total = 0
+    for e in catalog.entries:
+        ext = _linear_extensions(catalog.order, e.algebra.table)
+        aut = automorphism_count(catalog.order, e.algebra.table)
+        assert ext % aut == 0
+        total += ext // aut
+    return total
+
+
+def _zero_free_below_diagonal(table):
+    return all(table[x][y] != 0 for x in range(len(table)) for y in range(1, x))
+
+
+def _reduced_tables(monkeypatch, n):
+    # the labeled tables that enumerate_algebras canonicalizes, recorded
+    # through the module-level lookup of canonical_table
+    seen = []
+
+    def record(order, table):
+        seen.append(table)
+        return canonical_table(order, table)
+
+    monkeypatch.setattr(enumeration, "canonical_table", record)
+    enumerate_algebras(n)
+    return seen
+
+
+@pytest.mark.parametrize("n, reduced", [(3, 3), (4, 19), (5, 205)])
+def test_reduced_search_counts_linear_extensions(monkeypatch, small_catalogs, n, reduced):
+    # the reduced search's tables are exactly the full search's tables with
+    # no zero below the diagonal, as many as the linear-extension sum says
+    tables = _reduced_tables(monkeypatch, n)
+    assert len(tables) == len(set(tables)) == reduced
+    assert _linear_extension_sum(small_catalogs[n]) == reduced
+    full = [t for t in enumerate_labeled_tables(n) if _zero_free_below_diagonal(t)]
+    assert sorted(tables) == sorted(full)
+
+
 def test_enumerate_order_6_regression_baseline():
     cat = enumerate_algebras(6, jobs=8)
     assert len(cat) == 775
     assert sum(1 for e in cat.entries if e.bound is not None) == 267
     assert sum(1 for e in cat.entries if e.commutative) == 28
     assert _burnside_sum(cat) == 78216
+    assert _linear_extension_sum(cat) == 3487
 
 
 def test_dedup_is_sound_at_order_4(catalog4):
@@ -149,8 +203,12 @@ def test_enumerate_parallel_matches_serial(catalog4):
 
 
 def test_enumeration_node_limit_aborts():
-    with pytest.raises(EnumerationLimitError):
+    # the message reports the placements accepted in the task that ran
+    # out, not the budget
+    msg = "enumeration aborted after 19 placements with 4 tables completed"
+    with pytest.raises(EnumerationLimitError, match=f"^{msg}$") as exc:
         enumerate_algebras(5, max_nodes=50)
+    assert (exc.value.nodes, exc.value.found) == (19, 4)
 
 
 def test_enumeration_warns_above_practical_ceiling():
