@@ -14,6 +14,8 @@ The derived partial order is x <= y iff x*y = 0, and x*0 = x is a theorem
 
 Each algebra holds its table as one read-only intp array, made once where
 the table enters (the shape check, or a constructor); every layer reads it.
+Large tables are checked by BCK1's own blocked kernel and, for the other
+classes, by the gather kernel :func:`grid_masks`, which also serves degrees.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ import numpy as np
 
 Element = int
 
-# Below this order the plain-Python check is faster than the gather kernel.
-_VECTORIZE_MIN_ORDER = 16
+# Below this order the plain-Python check is faster than the kernels.
+_VECTORIZE_MIN_ORDER = 10
 
 
 class MalformedTableError(ValueError):
@@ -134,6 +136,8 @@ def _check_small(n, t) -> list[tuple[str, tuple[int, ...]]]:
 # Most grid cells the gather kernel evaluates at once; it bounds every
 # intermediate array, however large n^k is.
 _BLOCK_CELLS = 1 << 20
+# Most cells per step of the BCK1 kernel (or one row of x): its buffers stay in cache.
+_BCK1_BLOCK_CELLS = 1 << 14
 
 
 def grid_masks(t: np.ndarray, arity: int, mask):
@@ -168,10 +172,9 @@ def _axes(n: int, count: int) -> list[np.ndarray]:
     return [a.reshape((n,) + (1,) * (count - 1 - i)) for i in range(count)]
 
 
-# Each axiom class as a mask of its failing assignments: BCK1-BCK4 and X0
-# are equations, BCK5 is the conjunction x*y = 0, y*x = 0, x != y.
+# Each axiom class but BCK1 as a mask of its failing assignments: BCK2-BCK4
+# and X0 are equations, BCK5 is the conjunction x*y = 0, y*x = 0, x != y.
 _AXIOM_FAILURES = (
-    ("BCK1", 3, lambda t, x, y, z: t[t[t[x, y], t[x, z]], t[z, y]] != 0),
     ("BCK2", 2, lambda t, x, y: t[t[x, t[x, y]], y] != 0),
     ("BCK3", 1, lambda t, x: t[x, x] != 0),
     ("BCK4", 1, lambda t, x: t[0, x] != 0),
@@ -191,17 +194,43 @@ def check_axioms(order: int, table) -> AxiomReport:
 
 
 def _axiom_report(t: np.ndarray) -> AxiomReport:
-    # the axiom check of a table array that passed the shape check
+    # the axiom check of a table array that passed the shape check: BCK1 by
+    # its own kernel, the other classes on the gather kernel
     order = len(t)
     if order < _VECTORIZE_MIN_ORDER:
         return AxiomReport(tuple(_check_small(order, t.tolist())))
-    viol = []
+    viol = [("BCK1", w)] if (w := _bck1_witness(t)) else []
     for axiom, arity, fails in _AXIOM_FAILURES:
         blocks = grid_masks(t, arity, fails)
         first = next((start + int(m.argmax()) for start, m in blocks if m.any()), None)
         if first is not None:
             viol.append((axiom, tuple(int(v) for v in np.unravel_index(first, (order,) * arity))))
     return AxiomReport(tuple(viol))
+
+
+def _bck1_witness(t: np.ndarray) -> tuple[int, int, int] | None:
+    """The first (x, y, z) in row-major order with ((x*y)*(x*z))*(z*y) != 0.
+
+    x runs in ascending blocks, each in four flat steps into buffers made
+    once: (x*y)*n + x*z from the table scaled by n, a take of
+    ((x*y)*(x*z))*n from it, plus z*y, then a take from the nonzero bytes
+    of the table. Every index is in range; ``mode="clip"`` spares a copy.
+    """
+    n = len(t)
+    scaled, transposed, nonzero = t * n, np.ascontiguousarray(t.T), (t != 0).ravel()
+    rows = max(1, min(n, _BCK1_BLOCK_CELLS // n**2))
+    index, value = np.empty((2, rows, n, n), np.intp)
+    hit = np.empty((rows, n, n), bool)
+    for lo in range(0, n, rows):
+        i, v, h = index[: n - lo], value[: n - lo], hit[: n - lo]  # short in the last block
+        np.add(scaled[lo : lo + rows, :, None], t[lo : lo + rows, None, :], out=i)
+        np.take(scaled.ravel(), i, out=v, mode="clip")
+        v += transposed
+        np.take(nonzero, v, out=h, mode="clip")
+        if h.any():
+            x, yz = divmod(int(h.argmax()), n * n)
+            return (lo + x, *divmod(yz, n))
+    return None
 
 
 @dataclass(frozen=True)

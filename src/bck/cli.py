@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 domain-level negative (axiom violation, not
-commutative, failed audit), 2 usage, parse, or I/O errors. Every command
-is deterministic given identical inputs and flags; text and JSON output
-agree on all numeric content.
+commutative, failed audit, enumeration out of --max-nodes), 2 usage,
+parse, or I/O errors. Every command is deterministic given identical
+inputs and flags; text and JSON output agree on all numeric content.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .degrees import (
 )
 from .enumeration import (
     SPECTRUM_KINDS,
+    EnumerationLimitError,
     audit_bounds,
     enumerate_algebras,
     load_catalog,
@@ -327,11 +328,19 @@ def jobs(text: str) -> int:
 
 
 def size(text: str) -> int:
-    """argparse type of `family --n` and `gap --max-n`: an integer of at most
-    tableio.MAX_ORDER, checked before any table is built."""
+    """argparse type of `family --n`, `gap --max-n` and `--order`: an integer
+    of at most tableio.MAX_ORDER, checked before any table is built."""
     value = int(text)
     if value > tableio.MAX_ORDER:
         raise argparse.ArgumentTypeError(f"must be at most {tableio.MAX_ORDER}, got {value}")
+    return value
+
+
+def positive(text: str) -> int:
+    """argparse type of `enumerate --max-nodes`: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
@@ -376,19 +385,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=jobs, default=1, help="accepted; degrees count serially")
 
     p = add("enumerate", cmd_enumerate, help="all algebras of an order up to isomorphism")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=size, required=True)
     p.add_argument("--out", help="directory to persist the catalog in")
     p.add_argument("--jobs", type=jobs, default=1, help="enumeration worker processes")
-    p.add_argument("--max-nodes", type=int, default=None)
+    p.add_argument("--max-nodes", type=positive, default=None)
 
     p = add("spectrum", cmd_spectrum, help="achieved degree values across a catalog")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=size, required=True)
     p.add_argument("--kind", choices=SPECTRUM_KINDS, required=True)
     p.add_argument("--catalog", help="persisted catalog directory to reuse")
     p.add_argument("--jobs", type=jobs, default=1, help="enumeration worker processes")
 
     p = add("audit", cmd_audit, help="audit degree bounds over a catalog")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=size, required=True)
     p.add_argument("--catalog", help="persisted catalog directory to reuse")
     p.add_argument("--jobs", type=jobs, default=1, help="enumeration worker processes")
 
@@ -403,7 +412,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (BckAxiomError, NotCommutativeError, UnboundedAlgebraError, DecompositionError) as exc:
+    except (BckAxiomError, NotCommutativeError, UnboundedAlgebraError, DecompositionError,
+            EnumerationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (tableio.TableFormatError, MalformedTableError, EquationSyntaxError) as exc:

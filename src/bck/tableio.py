@@ -11,8 +11,8 @@ from __future__ import annotations
 from .algebra import BckAlgebra, from_table
 
 
-# Largest order a table file, `family --n` or `gap --max-n` may ask for; a
-# table of this order has about a million cells.
+# Largest order a table file, `family --n`, `gap --max-n` or `--order` may
+# ask for; a table of this order has about a million cells.
 MAX_ORDER = 1024
 
 

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from bck import (
     two,
 )
 from bck import algebra
-from bck.algebra import _BLOCK_CELLS, _check_small, canonical_table
+from bck.algebra import _BCK1_BLOCK_CELLS, _BLOCK_CELLS, _check_small, canonical_table
 
 PI_TABLE = [[0, 0, 0], [1, 0, 0], [2, 2, 0]]
 TC_TABLE = [[0, 0, 0], [1, 0, 0], [2, 1, 0]]
@@ -367,8 +368,8 @@ def test_bounded_commutative_meet_join_form_distributive_lattice(small_catalogs)
 
 
 def test_small_and_vectorized_checkers_agree(monkeypatch):
-    # _check_small is the oracle of the gather kernel; lowering the switch
-    # sends every order through the kernel
+    # _check_small is the oracle of the kernels; lowering the switch sends
+    # every order through them
     import random
 
     rng = random.Random(20240917)
@@ -381,19 +382,54 @@ def test_small_and_vectorized_checkers_agree(monkeypatch):
         for _ in range(rng.randint(1, 3)):
             t[rng.randrange(1, n)][rng.randrange(n)] = rng.randrange(n)
         tables.append((n, t))
+    # The BCK1 kernel's blocks of x: one block (20), several (64, 90), a
+    # short last one (41), one row each (127, 128), a row wider than a block
+    # (130). In C, D and Q, r*r = r puts the first BCK1 witness at x = r:
+    # here at x = 1 and the first and last x of the second and last blocks.
+    placed = []
+    for n in (20, 41, 64, 90, 127, 128, 130):
+        rows = max(1, min(n, _BCK1_BLOCK_CELLS // n**2))
+        targets = {1, rows, 2 * rows - 1, 2}
+        if n <= 90:  # the oracle reads r * n^2 triples before the witness
+            targets |= {(n - 1) // rows * rows, n - 1}
+        for alg in (chain(n), d_algebra(n - 1), q_algebra(n)):
+            for r in sorted(x for x in targets if 0 < x < n):
+                t = [list(row) for row in alg.table]
+                t[r][r] = r
+                placed.append((r, n, t))
     monkeypatch.setattr(algebra, "_VECTORIZE_MIN_ORDER", 1)
     for n, t in tables:
         assert check_axioms(n, t).violations == tuple(_check_small(n, t))
+    for r, n, t in placed:
+        expected = tuple(_check_small(n, t))
+        assert expected[0][0] == "BCK1" and expected[0][1][0] == r
+        assert check_axioms(n, t).violations == expected
 
 
 def test_gather_kernel_witness_past_the_first_block():
-    n = 110  # n^3 > _BLOCK_CELLS, so the BCK1 grid spans several blocks
-    first_block_rows = _BLOCK_CELLS // n**2
+    n = 110  # n^3 > _BCK1_BLOCK_CELLS, so the BCK1 kernel runs several blocks of x
+    first_block_rows = max(1, _BCK1_BLOCK_CELLS // n**2)
+    assert n**3 > _BCK1_BLOCK_CELLS
     t = [list(row) for row in chain(n).table]
     t[100][2] = 99  # was 98; no triple with x < 100 sees the change
     expected = tuple(_check_small(n, t))
     assert expected[0][0] == "BCK1" and expected[0][1][0] >= first_block_rows
     assert check_axioms(n, t).violations == expected
+
+
+def test_axiom_check_memory_is_bounded_by_the_bck1_buffers():
+    a = chain(200)  # 8 000 000 BCK1 triples; one intp array over them is 64 MB
+    # the kernel's buffers: two intp arrays and a bool array over a block of
+    # x rows, here one row
+    buffers = (8 + 8 + 1) * max(1, min(a.order, _BCK1_BLOCK_CELLS // a.order**2)) * a.order**2
+    tracemalloc.start()
+    try:
+        report = check_axioms(a.order, a.table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 4 * buffers < 8 * a.order**3 // 10
 
 
 def test_grid_masks_blocks_follow_row_major_order():

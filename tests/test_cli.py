@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import re
 
 import pytest
 
@@ -326,7 +327,16 @@ def test_order_above_ceiling_is_usage_error(capsys, monkeypatch, tmp_path, value
 
     monkeypatch.setattr(cli, "family", no_table)
     monkeypatch.setattr(cli, "gap_evidence", no_table)
-    for argv in (["family", "--name", "C", "--n", value], ["gap", "--kind", "EM", "--max-n", value]):
+    monkeypatch.setattr(cli, "enumerate_algebras", no_table)
+    monkeypatch.setattr(cli, "load_catalog", no_table)
+    for argv in (
+        ["family", "--name", "C", "--n", value],
+        ["gap", "--kind", "EM", "--max-n", value],
+        ["enumerate", "--order", value],
+        ["spectrum", "--order", value, "--kind", "cd"],
+        ["audit", "--order", value],
+        ["audit", "--order", value, "--catalog", str(tmp_path)],
+    ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -338,6 +348,24 @@ def test_order_above_ceiling_is_usage_error(capsys, monkeypatch, tmp_path, value
     assert code == 2 and out == ""
     assert f"order must be at most 1024, got {value}" in err
     assert cli.size("1024") == 1024
+
+
+def test_enumeration_out_of_max_nodes_exits_1(capsys):
+    code, out, err = run(capsys, "enumerate", "--order", "5", "--max-nodes", "50")
+    assert code == 1 and out == ""
+    assert re.fullmatch(r"error: enumeration aborted after \d+ placements with \d+ tables completed\n", err)
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_max_nodes_below_one_is_usage_error(capsys, monkeypatch, value):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search was started")
+
+    monkeypatch.setattr(cli, "enumerate_algebras", no_search)
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--order", "5", "--max-nodes", value])
+    assert exc.value.code == 2
+    assert f"must be at least 1, got {value}" in capsys.readouterr().err
 
 
 def test_construct_iseki_needs_exactly_one_file(capsys, pi_file):
