@@ -4,6 +4,12 @@ Exit codes: 0 success, 1 domain-level negative (axiom violation, not
 commutative, failed audit, enumeration out of --max-nodes), 2 usage,
 parse, or I/O errors. Every command is deterministic given identical
 inputs and flags; text and JSON output agree on all numeric content.
+
+Each subcommand's arguments are declared once, in ``COMMANDS``. ``main``
+builds a parser holding only the invoked subcommand, since building all
+ten costs more than most commands. ``--help`` without a command, an
+unknown command and every usage error are handled by the full parser,
+so usage lines, messages and exit codes are those of ``build_parser()``.
 """
 
 from __future__ import annotations
@@ -344,72 +350,119 @@ def positive(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="bck", description="Finite BCK-algebra workbench")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        return p
-
-    p = add("verify", cmd_verify, help="check a Cayley table file against the axioms")
+def _file_argument(p):
     p.add_argument("file")
 
-    p = add("props", cmd_props, help="print structural property flags and atoms")
-    p.add_argument("file")
 
-    p = add("degree", cmd_degree, help="exact degree of satisfiability of an equation")
+def _degree_arguments(p):
     p.add_argument("file")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--kind", choices=tuple(DEGREE_FUNCTIONS))
     g.add_argument("--eq")
     p.add_argument("--jobs", type=jobs, default=1, help="accepted; degrees count serially")
 
-    p = add("family", cmd_family, help="emit a named family member as a table file")
+
+def _family_arguments(p):
     p.add_argument("--name", required=True, choices=FAMILY_NAMES)
     p.add_argument("--n", required=True, type=size)
     p.add_argument("--out")
 
-    p = add("construct", cmd_construct, help="combine table files")
+
+def _construct_arguments(p):
     p.add_argument("operation", choices=("union", "product", "iseki"))
     p.add_argument("files", nargs="+")
     p.add_argument("--out")
 
-    p = add("gap", cmd_gap, help="chain-sequence satisfiability-gap evidence")
+
+def _gap_arguments(p):
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--eq")
     g.add_argument("--kind", choices=tuple(BUILTIN_EQUATIONS))
     p.add_argument("--max-n", type=size, required=True)
     p.add_argument("--jobs", type=jobs, default=1, help="accepted; degrees count serially")
 
-    p = add("enumerate", cmd_enumerate, help="all algebras of an order up to isomorphism")
+
+def _enumerate_arguments(p):
     p.add_argument("--order", type=size, required=True)
     p.add_argument("--out", help="directory to persist the catalog in")
     p.add_argument("--jobs", type=jobs, default=1, help="enumeration worker processes")
     p.add_argument("--max-nodes", type=positive, default=None)
 
-    p = add("spectrum", cmd_spectrum, help="achieved degree values across a catalog")
+
+def _spectrum_arguments(p):
     p.add_argument("--order", type=size, required=True)
     p.add_argument("--kind", choices=SPECTRUM_KINDS, required=True)
     p.add_argument("--catalog", help="persisted catalog directory to reuse")
     p.add_argument("--jobs", type=jobs, default=1, help="enumeration worker processes")
 
-    p = add("audit", cmd_audit, help="audit degree bounds over a catalog")
+
+def _audit_arguments(p):
     p.add_argument("--order", type=size, required=True)
     p.add_argument("--catalog", help="persisted catalog directory to reuse")
     p.add_argument("--jobs", type=jobs, default=1, help="enumeration worker processes")
 
-    p = add("decompose", cmd_decompose, help="factor a commutative algebra into chains")
-    p.add_argument("file")
 
+# Every subcommand, in the order `bck --help` lists them:
+# name -> (handler, help, function adding its arguments besides --format).
+COMMANDS = {
+    "verify": (cmd_verify, "check a Cayley table file against the axioms", _file_argument),
+    "props": (cmd_props, "print structural property flags and atoms", _file_argument),
+    "degree": (cmd_degree, "exact degree of satisfiability of an equation", _degree_arguments),
+    "family": (cmd_family, "emit a named family member as a table file", _family_arguments),
+    "construct": (cmd_construct, "combine table files", _construct_arguments),
+    "gap": (cmd_gap, "chain-sequence satisfiability-gap evidence", _gap_arguments),
+    "enumerate": (cmd_enumerate, "all algebras of an order up to isomorphism", _enumerate_arguments),
+    "spectrum": (cmd_spectrum, "achieved degree values across a catalog", _spectrum_arguments),
+    "audit": (cmd_audit, "audit degree bounds over a catalog", _audit_arguments),
+    "decompose": (cmd_decompose, "factor a commutative algebra into chains", _file_argument),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The `bck` parser with every subcommand, or with only ``command``'s."""
+    return _make_parser(command, argparse.ArgumentParser)
+
+
+def _make_parser(command, parser_class):
+    # add_subparsers makes the subparsers with the top parser's class
+    top = parser_class(prog="bck", description="Finite BCK-algebra workbench")
+    sub = top.add_subparsers(dest="command", required=True)
+    for name in COMMANDS if command is None else (command,):
+        fn, help_text, add_arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(fn=fn)
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        add_arguments(p)
     return top
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _SilentParser(argparse.ArgumentParser):
+    """Raises _UsageError where argparse would print a usage error and exit.
+    argparse calls error() itself for some faults even with exit_on_error
+    off (missing required arguments on 3.10-3.11), so it is overridden."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
+def _parse(argv):
+    """Parse with a parser holding only the named subcommand; if there is
+    none, or that parse hits a usage error, parse again with the full
+    parser, so that help, usage lines and messages are the full parser's."""
+    if argv and argv[0] in COMMANDS:
+        try:
+            return _make_parser(argv[0], _SilentParser).parse_args(argv)
+        except _UsageError:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.fn(args)
     except (BckAxiomError, NotCommutativeError, UnboundedAlgebraError, DecompositionError,

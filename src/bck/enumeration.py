@@ -31,9 +31,7 @@ search 94,075.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import multiprocessing
 import os
 import warnings
 from collections.abc import Mapping
@@ -307,6 +305,8 @@ def enumerate_algebras(n: int, jobs: int = 1, max_nodes: int | None = None) -> C
     if jobs <= 1:
         results = [_complete_state(task) for task in tasks]
     else:
+        import multiprocessing  # imported here: it adds about 10 ms to every start-up
+
         with multiprocessing.Pool(jobs) as pool:
             results = pool.map(_complete_state, tasks)
     canon = sorted({tab for chunk in results for tab in chunk})
@@ -504,6 +504,8 @@ def audit_bounds(catalog: Catalog) -> AuditReport:
 
 
 def _table_hash(order, table) -> str:
+    import hashlib  # imported here: only saved catalogs need it, and it loads OpenSSL
+
     return hashlib.sha256(tableio.dumps(order, table).encode()).hexdigest()[:16]
 
 

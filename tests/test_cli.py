@@ -1,6 +1,10 @@
+import argparse
 import json
 import multiprocessing
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -389,3 +393,306 @@ def test_audit_rejects_catalog_table_of_another_order(capsys, tmp_path):
     code, out, err = run(capsys, "audit", "--order", "3", "--catalog", str(out_dir))
     assert code == 2 and out == ""
     assert "has order 4, but the catalog index says 3" in err
+
+
+# --- usage text, pinned -------------------------------------------------------
+#
+# Exact stdout, stderr and exit code of `--help` and of usage errors, with
+# COLUMNS=80 so that argparse wraps the same way on every terminal. The text
+# is argparse's as Python 3.11 prints it (3.10 says "optional arguments:", and
+# later versions word some messages differently); on other versions
+# test_usage_matches_full_parser still holds main to the full parser's output.
+
+pinned_argparse = pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="argparse text pinned as Python 3.11 prints it"
+)
+
+COMMANDS = (
+    "verify", "props", "degree", "family", "construct",
+    "gap", "enumerate", "spectrum", "audit", "decompose",
+)
+
+TOP_USAGE = (
+    "usage: bck [-h]\n"
+    "           {verify,props,degree,family,construct,gap,enumerate,spectrum,audit,decompose}\n"
+    "           ...\n"
+)
+
+TOP_HELP = TOP_USAGE + (
+    "\n"
+    "Finite BCK-algebra workbench\n"
+    "\n"
+    "positional arguments:\n"
+    "  {verify,props,degree,family,construct,gap,enumerate,spectrum,audit,decompose}\n"
+    "    verify              check a Cayley table file against the axioms\n"
+    "    props               print structural property flags and atoms\n"
+    "    degree              exact degree of satisfiability of an equation\n"
+    "    family              emit a named family member as a table file\n"
+    "    construct           combine table files\n"
+    "    gap                 chain-sequence satisfiability-gap evidence\n"
+    "    enumerate           all algebras of an order up to isomorphism\n"
+    "    spectrum            achieved degree values across a catalog\n"
+    "    audit               audit degree bounds over a catalog\n"
+    "    decompose           factor a commutative algebra into chains\n"
+    "\n"
+    "options:\n"
+    "  -h, --help            show this help message and exit\n"
+)
+
+FILE_ONLY_HELP = (
+    "usage: bck {} [-h] [--format {{text,json}}] file\n"
+    "\n"
+    "positional arguments:\n"
+    "  file\n"
+    "\n"
+    "options:\n"
+    "  -h, --help            show this help message and exit\n"
+    "  --format {{text,json}}\n"
+)
+
+COMMAND_HELP = {
+    "verify": FILE_ONLY_HELP.format("verify"),
+    "props": FILE_ONLY_HELP.format("props"),
+    "degree": (
+        "usage: bck degree [-h] [--format {text,json}]\n"
+        "                  (--kind {emd,dnd,cd,pid,id} | --eq EQ) [--jobs JOBS]\n"
+        "                  file\n"
+        "\n"
+        "positional arguments:\n"
+        "  file\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --format {text,json}\n"
+        "  --kind {emd,dnd,cd,pid,id}\n"
+        "  --eq EQ\n"
+        "  --jobs JOBS           accepted; degrees count serially\n"
+    ),
+    "family": (
+        "usage: bck family [-h] [--format {text,json}] --name {C,D,Q,B,M,P,Pprime} --n\n"
+        "                  N [--out OUT]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --format {text,json}\n"
+        "  --name {C,D,Q,B,M,P,Pprime}\n"
+        "  --n N\n"
+        "  --out OUT\n"
+    ),
+    "construct": (
+        "usage: bck construct [-h] [--format {text,json}] [--out OUT]\n"
+        "                     {union,product,iseki} files [files ...]\n"
+        "\n"
+        "positional arguments:\n"
+        "  {union,product,iseki}\n"
+        "  files\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --format {text,json}\n"
+        "  --out OUT\n"
+    ),
+    "gap": (
+        "usage: bck gap [-h] [--format {text,json}]\n"
+        "               (--eq EQ | --kind {DN,EM,T,E1,I,X1,NX1}) --max-n MAX_N\n"
+        "               [--jobs JOBS]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --format {text,json}\n"
+        "  --eq EQ\n"
+        "  --kind {DN,EM,T,E1,I,X1,NX1}\n"
+        "  --max-n MAX_N\n"
+        "  --jobs JOBS           accepted; degrees count serially\n"
+    ),
+    "enumerate": (
+        "usage: bck enumerate [-h] [--format {text,json}] --order ORDER [--out OUT]\n"
+        "                     [--jobs JOBS] [--max-nodes MAX_NODES]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --format {text,json}\n"
+        "  --order ORDER\n"
+        "  --out OUT             directory to persist the catalog in\n"
+        "  --jobs JOBS           enumeration worker processes\n"
+        "  --max-nodes MAX_NODES\n"
+    ),
+    "spectrum": (
+        "usage: bck spectrum [-h] [--format {text,json}] --order ORDER --kind\n"
+        "                    {emd,dnd,cd,pid,id} [--catalog CATALOG] [--jobs JOBS]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --format {text,json}\n"
+        "  --order ORDER\n"
+        "  --kind {emd,dnd,cd,pid,id}\n"
+        "  --catalog CATALOG     persisted catalog directory to reuse\n"
+        "  --jobs JOBS           enumeration worker processes\n"
+    ),
+    "audit": (
+        "usage: bck audit [-h] [--format {text,json}] --order ORDER [--catalog CATALOG]\n"
+        "                 [--jobs JOBS]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --format {text,json}\n"
+        "  --order ORDER\n"
+        "  --catalog CATALOG     persisted catalog directory to reuse\n"
+        "  --jobs JOBS           enumeration worker processes\n"
+    ),
+    "decompose": FILE_ONLY_HELP.format("decompose"),
+}
+
+COMMAND_CHOICES = "'verify', 'props', 'degree', 'family', 'construct', 'gap', 'enumerate', 'spectrum', 'audit', 'decompose'"
+
+# (argv, the parser that reports the error: a command or None for `bck`, message)
+USAGE_ERRORS = [
+    ([], None, "the following arguments are required: command"),
+    (["nosuch"], None, f"argument command: invalid choice: 'nosuch' (choose from {COMMAND_CHOICES})"),
+    (["--format", "json", "verify", "t.tbl"], None,
+     f"argument command: invalid choice: 'json' (choose from {COMMAND_CHOICES})"),
+    (["verify", "t.tbl", "--bogus"], None, "unrecognized arguments: --bogus"),
+    (["verify"], "verify", "the following arguments are required: file"),
+    (["enumerate"], "enumerate", "the following arguments are required: --order"),
+    (["gap", "--kind", "EM"], "gap", "the following arguments are required: --max-n"),
+    (["spectrum", "--order", "3"], "spectrum", "the following arguments are required: --kind"),
+    (["degree", "t.tbl"], "degree", "one of the arguments --kind --eq is required"),
+    (["degree", "t.tbl", "--kind", "nope"], "degree",
+     "argument --kind: invalid choice: 'nope' (choose from 'emd', 'dnd', 'cd', 'pid', 'id')"),
+    (["family", "--name", "Z", "--n", "3"], "family",
+     "argument --name: invalid choice: 'Z' (choose from 'C', 'D', 'Q', 'B', 'M', 'P', 'Pprime')"),
+    (["verify", "t.tbl", "--format", "xml"], "verify",
+     "argument --format: invalid choice: 'xml' (choose from 'text', 'json')"),
+    (["construct", "merge", "t.tbl"], "construct",
+     "argument operation: invalid choice: 'merge' (choose from 'union', 'product', 'iseki')"),
+    (["degree", "t.tbl", "--kind", "cd", "--eq", "x = x"], "degree",
+     "argument --eq: not allowed with argument --kind"),
+    (["enumerate", "--order", "3", "--jobs", "0"], "enumerate",
+     "argument --jobs: must be between 1 and 64, got 0"),
+    (["family", "--name", "C", "--n", "1025"], "family", "argument --n: must be at most 1024, got 1025"),
+    (["enumerate", "--order", "3", "--max-nodes", "0"], "enumerate",
+     "argument --max-nodes: must be at least 1, got 0"),
+    (["audit", "--order", "x"], "audit", "argument --order: invalid size value: 'x'"),
+]
+
+HELP_CASES = [(["--help"], TOP_HELP)] + [([c, "--help"], COMMAND_HELP[c]) for c in COMMANDS]
+
+
+def argv_id(argv):
+    return " ".join(argv) or "(none)"
+
+
+def usage_of(command):
+    if command is None:
+        return TOP_USAGE
+    return COMMAND_HELP[command].split("\n\n")[0] + "\n"
+
+
+def exit_of(capsys, call, argv):
+    with pytest.raises(SystemExit) as exc:
+        call(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.fixture
+def columns80(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+
+
+@pinned_argparse
+@pytest.mark.parametrize("argv,text", HELP_CASES, ids=[argv_id(a) for a, _ in HELP_CASES])
+def test_help_text_pinned(capsys, columns80, argv, text):
+    assert exit_of(capsys, main, argv) == (0, text, "")
+
+
+@pinned_argparse
+@pytest.mark.parametrize(
+    "argv,command,message", USAGE_ERRORS, ids=[argv_id(a) for a, _, _ in USAGE_ERRORS]
+)
+def test_usage_errors_pinned(capsys, columns80, argv, command, message):
+    prog = "bck" if command is None else f"bck {command}"
+    expected = usage_of(command) + f"{prog}: error: {message}\n"
+    assert exit_of(capsys, main, argv) == (2, "", expected)
+
+
+@pytest.mark.parametrize(
+    "argv", [a for a, _ in HELP_CASES] + [a for a, _, _ in USAGE_ERRORS], ids=argv_id
+)
+def test_usage_matches_full_parser(capsys, columns80, argv):
+    full = exit_of(capsys, cli.build_parser().parse_args, argv)
+    assert exit_of(capsys, main, argv) == full
+
+
+# --- only the invoked subcommand's parser is built ----------------------------
+
+WELL_FORMED = {
+    "verify": ["verify", "{pi}"],
+    "props": ["props", "{pi}"],
+    "degree": ["degree", "{pi}", "--kind", "cd"],
+    "family": ["family", "--name", "C", "--n", "3"],
+    "construct": ["construct", "union", "{pi}", "{tc}"],
+    "gap": ["gap", "--kind", "EM", "--max-n", "3"],
+    "enumerate": ["enumerate", "--order", "2"],
+    "spectrum": ["spectrum", "--order", "2", "--kind", "cd"],
+    "audit": ["audit", "--order", "2"],
+    "decompose": ["decompose", "{tc}"],
+}
+
+
+@pytest.fixture
+def subparsers_built(monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    return built
+
+
+def test_well_formed_commands_cover_every_subcommand():
+    assert tuple(WELL_FORMED) == tuple(cli.COMMANDS) == COMMANDS
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_one_subparser_built(capsys, subparsers_built, pi_file, tc_file, command):
+    argv = [a.format(pi=pi_file, tc=tc_file) for a in WELL_FORMED[command]]
+    code, _, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert subparsers_built == [command]
+
+
+def test_usage_error_after_command_builds_full_parser(capsys, columns80, subparsers_built, pi_file):
+    code, out, err = exit_of(capsys, main, ["verify", pi_file, "--bogus"])
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        "usage: bck [-h]\n"
+        "           {verify,props,degree,family,construct,gap,enumerate,spectrum,audit,decompose}\n"
+    )
+    assert subparsers_built == ["verify", *COMMANDS]
+
+
+def test_build_parser_of_one_command(capsys, columns80):
+    parser = cli.build_parser("gap")
+    args = parser.parse_args(["gap", "--kind", "EM", "--max-n", "4"])
+    assert (args.fn, args.kind, args.max_n, args.jobs) == (cli.cmd_gap, "EM", 4, 1)
+    assert exit_of(capsys, parser.parse_args, ["verify", "t.tbl"])[0] == 2
+
+
+def test_import_leaves_out_pool_and_hash_modules():
+    # numpy alone imports neither, so `import bck.cli` must not either
+    probe = (
+        "import sys\n"
+        "import numpy\n"
+        "before = [m for m in ('multiprocessing', 'hashlib') if m in sys.modules]\n"
+        "import bck.cli\n"
+        "after = [m for m in ('multiprocessing', 'hashlib') if m in sys.modules]\n"
+        "print(before, after)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[] []\n", "")
