@@ -50,19 +50,14 @@ def _emit(args, report: dict, lines: list[str]) -> None:
             print(line)
 
 
-def _load_table_file(path):
-    with open(path, encoding="utf-8") as fh:
-        return tableio.loads(fh.read())
-
-
 def _resolve_equation(args):
     # argparse enforces that exactly one of --kind/--eq is present
     return builtin(args.kind) if args.kind else parse(args.eq)
 
 
 def cmd_verify(args) -> int:
-    order, rows = _load_table_file(args.file)
-    report = check_axioms(order, rows)
+    order, table = tableio.read_table(args.file)
+    report = check_axioms(order, table)
     out = {
         "command": "verify",
         "inputs": {"file": args.file},
@@ -126,7 +121,7 @@ def cmd_degree(args) -> int:
 
 def cmd_family(args) -> int:
     algebra = family(args.name, args.n)
-    text = tableio.dumps(algebra.order, algebra.table)
+    text = tableio.dumps(algebra.order, algebra.array)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -149,7 +144,7 @@ def cmd_construct(args) -> int:
         result = operands[0]
         for other in operands[1:]:
             result = combine(result, other)
-    text = tableio.dumps(result.order, result.table)
+    text = tableio.dumps(result.order, result.array)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

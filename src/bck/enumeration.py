@@ -503,24 +503,21 @@ def audit_bounds(catalog: Catalog) -> AuditReport:
     return AuditReport(n, tuple(checks))
 
 
-def _table_hash(order, table) -> str:
-    import hashlib  # imported here: only saved catalogs need it, and it loads OpenSSL
-
-    return hashlib.sha256(tableio.dumps(order, table).encode()).hexdigest()[:16]
-
-
 def save_catalog(catalog: Catalog, dirpath) -> None:
     """Persist as one table file per algebra plus a JSON index with flags
     and degrees. :func:`load_catalog` reads back only the tables and
     recomputes the rest. Once the index is written, ``.tbl`` files it does
     not name, left by an earlier save into the same directory, are
     removed; no other file is touched."""
+    import hashlib  # imported here: only saved catalogs need it, and it loads OpenSSL
+
     os.makedirs(dirpath, exist_ok=True)
     index = {"order": catalog.order, "algebras": []}
     for e in catalog.entries:
-        fname = _table_hash(catalog.order, e.algebra.table) + ".tbl"
+        text = tableio.dumps(catalog.order, e.algebra.array)
+        fname = hashlib.sha256(text.encode()).hexdigest()[:16] + ".tbl"
         with open(os.path.join(dirpath, fname), "w", encoding="utf-8") as fh:
-            fh.write(tableio.dumps(catalog.order, e.algebra.table))
+            fh.write(text)
         index["algebras"].append(
             {
                 "file": fname,
@@ -551,8 +548,7 @@ def load_catalog(dirpath) -> Catalog:
     of ``index.json`` only the order and the file names are read, so stored
     flags and degrees are never trusted. A table whose order differs from
     the index's raises :class:`MalformedTableError`."""
-    with open(os.path.join(dirpath, "index.json"), encoding="utf-8") as fh:
-        index = json.load(fh)
+    index = json.loads(tableio.read_text(os.path.join(dirpath, "index.json"), "catalog index"))
     order = index["order"]
     entries = []
     for rec in index["algebras"]:
