@@ -149,21 +149,47 @@ def grid_masks(t: np.ndarray, arity: int, mask):
     ``(start, mask)`` per block, ``start`` being the row-major index of its
     first assignment, so a block's first marked cell is also the
     lexicographically first among those not yet seen.
+
+    ``t`` may also be a stack of k tables, a (k, n, n) array (read through
+    :class:`_Tables`). Each block then spans all k tables, its mask has the
+    table axis first, and the blocks hold about ``_BLOCK_CELLS`` cells in
+    all, but at least one per table.
     """
-    n = len(t)
-    if n**arity <= _BLOCK_CELLS:
+    stacked = isinstance(t, np.ndarray) and t.ndim == 3
+    n = t.shape[-1] if stacked else len(t)
+    cells = max(1, _BLOCK_CELLS // max(1, len(t))) if stacked else _BLOCK_CELLS
+    if n**arity <= cells:
         yield 0, mask(t, *_axes(n, arity))
         return
     # the last `inner` variables span A in every block, the one before them
     # a slice of A, and any earlier ones are fixed
     inner = 0
-    while n ** (inner + 1) <= _BLOCK_CELLS:
+    while n ** (inner + 1) <= cells:
         inner += 1
-    step = _BLOCK_CELLS // n**inner
+    step = cells // n**inner
     head, *axes = _axes(n, inner + 1)
     for i, prefix in enumerate(itertools.product(range(n), repeat=arity - 1 - inner)):
         for lo in range(0, n, step):
             yield (i * n + lo) * n**inner, mask(t, *prefix, head[lo : lo + step], *axes)
+
+
+class _Tables:
+    """A stack of tables, a (k, n, n) array, read as one table by the masks
+    of :func:`grid_masks`: ``tables[x, y]`` is x*y in every table at once,
+    with the table axis first and ``args``' grid axes after it."""
+
+    def __init__(self, stack: np.ndarray, args):
+        self.stack = stack
+        dims = max(map(np.ndim, args), default=0)
+        self.ks = np.arange(len(stack)).reshape((-1,) + (1,) * dims)
+
+    def __getitem__(self, cell):
+        return self.stack[(self.ks, *cell)]
+
+    def spread(self, values, args) -> np.ndarray:
+        """``values`` over the full (table, grid) shape, which a value that
+        reads no cell lacks."""
+        return np.broadcast_to(values, np.broadcast_shapes(self.ks.shape, *map(np.shape, args)))
 
 
 def _axes(n: int, count: int) -> list[np.ndarray]:
@@ -209,28 +235,79 @@ def _axiom_report(t: np.ndarray) -> AxiomReport:
 
 
 def _bck1_witness(t: np.ndarray) -> tuple[int, int, int] | None:
-    """The first (x, y, z) in row-major order with ((x*y)*(x*z))*(z*y) != 0.
-
-    x runs in ascending blocks, each in four flat steps into buffers made
-    once: (x*y)*n + x*z from the table scaled by n, a take of
-    ((x*y)*(x*z))*n from it, plus z*y, then a take from the nonzero bytes
-    of the table. Every index is in range; ``mode="clip"`` spares a copy.
-    """
+    """The first (x, y, z) in row-major order with ((x*y)*(x*z))*(z*y) != 0."""
     n = len(t)
-    scaled, transposed, nonzero = t * n, np.ascontiguousarray(t.T), (t != 0).ravel()
-    rows = max(1, min(n, _BCK1_BLOCK_CELLS // n**2))
-    index, value = np.empty((2, rows, n, n), np.intp)
-    hit = np.empty((rows, n, n), bool)
-    for lo in range(0, n, rows):
-        i, v, h = index[: n - lo], value[: n - lo], hit[: n - lo]  # short in the last block
-        np.add(scaled[lo : lo + rows, :, None], t[lo : lo + rows, None, :], out=i)
-        np.take(scaled.ravel(), i, out=v, mode="clip")
-        v += transposed
-        np.take(nonzero, v, out=h, mode="clip")
-        if h.any():
-            x, yz = divmod(int(h.argmax()), n * n)
+    for lo, hit in _bck1_blocks(t[None]):
+        if hit.any():
+            x, yz = divmod(int(hit.argmax()), n * n)
             return (lo + x, *divmod(yz, n))
     return None
+
+
+def _bck1_blocks(stack: np.ndarray):
+    """BCK1 over a (k, n, n) stack of tables, in ascending blocks of
+    (table, x) rows. Yields ``(lo, hit)``: ``hit[r, y, z]`` is whether
+    ((x*y)*(x*z))*(z*y) != 0 in row ``lo + r``, which is x = (lo + r) % n of
+    table (lo + r) // n. ``hit`` is a buffer the next block overwrites.
+
+    Each block takes four flat steps into buffers made once: (x*y)*n +
+    x*z from the stack scaled by n and offset by n^2 per table, a take of
+    ((x*y)*(x*z))*n from it (offset too), plus z*y, then a take from the
+    nonzero bytes of the stack. Every index is in range; ``mode="clip"``
+    spares a copy. A block's z*y is its table's transposed table, or, in a
+    block that spans tables, a gather of them.
+    """
+    k, n, _ = stack.shape
+    offsets = np.arange(0, k * n * n, n * n).reshape(k, 1, 1)
+    scaled = (stack * n + offsets).reshape(k * n, n)
+    rows_of, flat = stack.reshape(k * n, n), scaled.ravel()
+    transposed = np.ascontiguousarray(stack.transpose(0, 2, 1))  # transposed[i, y, z] = z*y
+    nonzero = (stack != 0).ravel()
+    rows = max(1, min(k * n, _BCK1_BLOCK_CELLS // n**2))
+    index, value = np.empty((2, rows, n, n), np.intp)
+    hit = np.empty((rows, n, n), bool)
+    for lo in range(0, k * n, rows):
+        hi = min(lo + rows, k * n)
+        i, v, h = index[: hi - lo], value[: hi - lo], hit[: hi - lo]  # short in the last block
+        np.add(scaled[lo:hi, :, None], rows_of[lo:hi, None, :], out=i)
+        np.take(flat, i, out=v, mode="clip")
+        first, last = lo // n, (hi - 1) // n
+        v += transposed[first] if first == last else transposed[np.arange(lo, hi) // n]
+        np.take(nonzero, v, out=h, mode="clip")
+        yield lo, h
+
+
+def _stack_ok(stack: np.ndarray) -> np.ndarray:
+    """Whether each table of a (k, n, n) stack of shape-checked tables
+    satisfies every axiom class: one pass over the whole stack, BCK1 by its
+    blocked kernel and the other classes by their masks on the gather
+    kernel. Agrees with ``_check_small``'s verdict table by table."""
+    k, n = len(stack), stack.shape[-1]
+    bad = np.zeros(k * n, bool)
+    for lo, hit in _bck1_blocks(stack):
+        hit.reshape(len(hit), -1).any(axis=1, out=bad[lo : lo + len(hit)])
+    bad = bad.reshape(k, n).any(axis=1)
+    for _, arity, fails in _AXIOM_FAILURES:
+        for _, m in grid_masks(stack, arity, lambda s, *args: fails(_Tables(s, args), *args)):
+            bad |= m.any(axis=tuple(range(1, m.ndim)))
+    return ~bad
+
+
+def _stack_flags(stack: np.ndarray) -> tuple[list[bool], list[bool], list[bool], list[bool]]:
+    """``is_linear``, ``is_commutative``, ``is_positive_implicative`` and
+    ``is_implicative`` of each table of a (k, n, n) stack of algebras, each
+    in one pass over the stack."""
+    n = stack.shape[-1]
+    below = stack == 0
+    meets = np.take_along_axis(stack, stack, axis=2)  # meets[i, y, x] = y*(y*x) = x ^ y
+    then_y = np.take_along_axis(stack, stack, axis=1)  # then_y[i, x, y] = (x*y)*y
+    absorbed = np.take_along_axis(stack, stack.transpose(0, 2, 1), axis=2)  # x*(y*x)
+    return (
+        (below | below.transpose(0, 2, 1)).all(axis=(1, 2)).tolist(),
+        (meets == meets.transpose(0, 2, 1)).all(axis=(1, 2)).tolist(),
+        (stack == then_y).all(axis=(1, 2)).tolist(),
+        (absorbed == np.arange(n)[:, None]).all(axis=(1, 2)).tolist(),
+    )
 
 
 @dataclass(frozen=True)
@@ -449,3 +526,16 @@ def _build(order: int, table) -> BckAlgebra:
     zero_columns = ~t.any(axis=0)  # the bound m has x*m = 0 for every x
     bound = int(zero_columns.argmax()) if zero_columns.any() else None
     return BckAlgebra(order, tuple(map(tuple, t.tolist())), bound, t)
+
+
+def _build_stack(stack: np.ndarray) -> list[BckAlgebra]:
+    """:func:`_build` of each table of a read-only (k, n, n) intp stack, the
+    bounds found in one pass (a single table is built faster by
+    :func:`_build`). Each algebra's array is a view of the stack."""
+    order = stack.shape[-1]
+    zero_columns = ~stack.any(axis=1)
+    bounds = np.where(zero_columns.any(axis=1), zero_columns.argmax(axis=1), -1).tolist()
+    return [
+        BckAlgebra(order, tuple(map(tuple, rows)), None if bound < 0 else bound, t)
+        for t, rows, bound in zip(stack, stack.tolist(), bounds)
+    ]

@@ -6,7 +6,7 @@ parse, or I/O errors. Every command is deterministic given identical
 inputs and flags; text and JSON output agree on all numeric content.
 
 Each subcommand's arguments are declared once, in ``COMMANDS``. ``main``
-builds a parser holding only the invoked subcommand, since building all
+builds one parser, for the invoked subcommand alone, since building all
 ten costs more than most commands. ``--help`` without a command, an
 unknown command and every usage error are handled by the full parser,
 so usage lines, messages and exit codes are those of ``build_parser()``.
@@ -415,20 +415,19 @@ COMMANDS = {
 
 def build_parser(command=None) -> argparse.ArgumentParser:
     """The `bck` parser with every subcommand, or with only ``command``'s."""
-    return _make_parser(command, argparse.ArgumentParser)
-
-
-def _make_parser(command, parser_class):
-    # add_subparsers makes the subparsers with the top parser's class
-    top = parser_class(prog="bck", description="Finite BCK-algebra workbench")
+    top = argparse.ArgumentParser(prog="bck", description="Finite BCK-algebra workbench")
     sub = top.add_subparsers(dest="command", required=True)
     for name in COMMANDS if command is None else (command,):
-        fn, help_text, add_arguments = COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(fn=fn)
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        add_arguments(p)
+        _add_command(sub.add_parser(name, help=COMMANDS[name][1]), name)
     return top
+
+
+def _add_command(p, name):
+    # a subcommand's defaults and arguments, on its subparser or its own parser
+    fn, _, add_arguments = COMMANDS[name]
+    p.set_defaults(fn=fn, command=name)
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    add_arguments(p)
 
 
 class _UsageError(Exception):
@@ -445,12 +444,15 @@ class _SilentParser(argparse.ArgumentParser):
 
 
 def _parse(argv):
-    """Parse with a parser holding only the named subcommand; if there is
-    none, or that parse hits a usage error, parse again with the full
-    parser, so that help, usage lines and messages are the full parser's."""
+    """Parse with one parser, the named subcommand's alone, under the prog
+    name its subparser has; if there is no such command, or that parse hits
+    a usage error, parse again with the full parser, so that help, usage
+    lines and messages are the full parser's."""
     if argv and argv[0] in COMMANDS:
+        parser = _SilentParser(prog=f"bck {argv[0]}")
+        _add_command(parser, argv[0])
         try:
-            return _make_parser(argv[0], _SilentParser).parse_args(argv)
+            return parser.parse_args(argv[1:])
         except _UsageError:
             pass
     return build_parser().parse_args(argv)

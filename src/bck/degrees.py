@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .algebra import BckAlgebra, grid_masks
+from .algebra import BckAlgebra, _Tables, grid_masks
 from .constructions import chain, direct_product
 from .terms import Equation, builtin, holds
 
@@ -103,6 +103,29 @@ def ds(algebra: BckAlgebra, eq: Equation, jobs: int = 1) -> Degree:
     return Degree(count, algebra.order**eq.arity)
 
 
+def ds_stack(stack: np.ndarray, eq: Equation, bounds: np.ndarray | None = None) -> list[int]:
+    """How many assignments satisfy ``eq`` in each table of a (k, n, n) stack
+    of algebras: :func:`ds`'s counts for a whole catalog in one pass of the
+    same evaluator and kernel, with a table axis. ``bounds`` holds
+    each table's greatest element, or is None when ``eq`` needs none."""
+    k = len(stack)
+
+    def holding(s, *args):
+        tables = _Tables(s, args)
+        bound = None if bounds is None else bounds.reshape(tables.ks.shape)
+        gathers = SimpleNamespace(op=lambda x, y: tables[x, y], bound=bound)
+        return tables.spread(holds(gathers, eq, dict(zip(eq.vars, args))), args)
+
+    counts = np.zeros(k, np.intp)
+    for _, mask in grid_masks(stack, eq.arity, holding):
+        counts += np.count_nonzero(mask, axis=tuple(range(1, mask.ndim)))
+    return counts.tolist()
+
+
+# excluded_middle_degree's note on a non-commutative algebra
+_EM_NOTE = "outside usual hypothesis: algebra is not commutative"
+
+
 def excluded_middle_degree(algebra: BckAlgebra) -> Degree:
     """Degree of x | ~x = 1 over a bounded algebra.
 
@@ -112,7 +135,7 @@ def excluded_middle_degree(algebra: BckAlgebra) -> Degree:
     """
     d = ds(algebra, builtin("EM"))
     if not algebra.is_commutative():
-        d = Degree(d.count, d.total, note="outside usual hypothesis: algebra is not commutative")
+        d = Degree(d.count, d.total, note=_EM_NOTE)
     return d
 
 
@@ -145,6 +168,25 @@ DEGREE_FUNCTIONS = {
 }
 
 DEGREE_EQUATION_NAMES = {"emd": "EM", "dnd": "DN", "cd": "T", "pid": "E1", "id": "I"}
+
+
+def stack_degrees(kind: str, stack: np.ndarray, bounds, commutative) -> list[Degree | None]:
+    """``DEGREE_FUNCTIONS[kind]`` of each algebra of a (k, n, n) stack, counted
+    by one :func:`ds_stack`. ``bounds`` and ``commutative`` give each
+    algebra's bound (or None) and commutativity. emd and dnd need a bound:
+    on an unbounded algebra they are None. emd carries its note where the
+    algebra is not commutative."""
+    eq = builtin(DEGREE_EQUATION_NAMES[kind])
+    total = stack.shape[-1] ** eq.arity
+    if kind not in ("emd", "dnd"):
+        return [Degree(c, total) for c in ds_stack(stack, eq)]
+    bounded = [i for i, b in enumerate(bounds) if b is not None]
+    counts = ds_stack(stack[bounded], eq, np.array([bounds[i] for i in bounded], np.intp))
+    out: list[Degree | None] = [None] * len(stack)
+    for i, c in zip(bounded, counts):
+        note = _EM_NOTE if kind == "emd" and not commutative[i] else None
+        out[i] = Degree(c, total, note=note)
+    return out
 
 
 def check_multiplicative(a: BckAlgebra, b: BckAlgebra, eq: Equation) -> bool:

@@ -27,6 +27,14 @@ them. The no-pruning oracles in the test suite guard against loss at
 orders 3 and 4. A ``max_nodes`` budget counts every value tried, rejected
 or not: the order-5 catalog search tries 4,840 in all, the full labeled
 search 94,075.
+
+Where the completed tables are checked: the leaf of the search only
+collects them. Each search task checks what it collected in one stacked
+pass over a (k, n, n) array (``algebra._stack_ok``, at most
+``_LEAF_CHUNK`` tables at a time), then canonicalizes the survivors in
+search order. The catalog's flags, and each degree kind when first read,
+are computed the same way, over all its tables at once; so is the check
+of a catalog that :func:`load_catalog` reads back.
 """
 
 from __future__ import annotations
@@ -38,9 +46,27 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import tableio
-from .algebra import BckAlgebra, MalformedTableError, _build, _check_small, canonical_table
-from .degrees import DEGREE_FUNCTIONS, Degree, DecompositionError, decompose_commutative
+from .algebra import (
+    BckAlgebra,
+    BckAxiomError,
+    MalformedTableError,
+    _axiom_report,
+    _build_stack,
+    _stack_flags,
+    _stack_ok,
+    canonical_table,
+    from_table,
+)
+from .degrees import (
+    DEGREE_FUNCTIONS,
+    Degree,
+    DecompositionError,
+    decompose_commutative,
+    stack_degrees,
+)
 
 PRACTICAL_MAX_ORDER = 6
 
@@ -183,23 +209,39 @@ def _search(n, t, forced, cells, start, leaf, budget, reduced):
         t[a][b] = None
 
 
+# Most completed tables a search task holds before it checks them.
+_LEAF_CHUNK = 4096
+
+
 def _complete_state(args):
     # a reduced search canonicalizes what it finds; the full one does not
     n, t, forced, start, reduced, max_nodes = args
     found: list[tuple] = []
+    pending: list[tuple] = []
     budget = None if max_nodes is None else [max_nodes, 0]
 
+    def check():
+        if not pending:
+            return
+        # the one axiom check of the completed tables, all in one stacked
+        # pass; the survivors are kept in search order
+        ok = _stack_ok(np.array(pending, dtype=np.intp))
+        for table, valid in zip(pending, ok.tolist()):
+            if valid:
+                found.append(canonical_table(n, table) if reduced else table)
+        pending.clear()
+
     def leaf():
-        # the one axiom check of a completed table, on the search's own
-        # rows: they need no shape check and no copy
-        if not _check_small(n, t):
-            table = tuple(map(tuple, t))
-            found.append(canonical_table(n, table) if reduced else table)
+        pending.append(tuple(map(tuple, t)))
+        if len(pending) == _LEAF_CHUNK:
+            check()
 
     try:
         _search(n, t, forced, _free_cells(n), start, leaf, budget, reduced)
     except EnumerationLimitError as exc:
+        check()
         raise EnumerationLimitError(exc.nodes, len(found)) from None
+    check()
     return found
 
 
@@ -238,21 +280,32 @@ class Catalog:
         return len(self.entries)
 
 
-class _Degrees(Mapping):
-    """An algebra's degree of each kind in ``DEGREE_FUNCTIONS``, computed
-    when first read, so a reader of one kind (``spectrum``) pays for one.
-    emd and dnd are None on an unbounded algebra."""
+class _CatalogDegrees:
+    """The degrees of every algebra of one catalog, held as a stack. Each
+    kind is counted for all of them at once, in one :func:`stack_degrees`,
+    when it is first read."""
 
-    def __init__(self, algebra: BckAlgebra):
-        self._algebra = algebra
-        self._known: dict[str, Degree | None] = {}
+    def __init__(self, stack: np.ndarray, bounds: list[int | None], commutative: list[bool]):
+        self._stack, self._bounds, self._commutative = stack, bounds, commutative
+        self._known: dict[str, list[Degree | None]] = {}
+
+    def of(self, kind: str) -> list[Degree | None]:
+        if kind not in self._known:
+            self._known[kind] = stack_degrees(kind, self._stack, self._bounds, self._commutative)
+        return self._known[kind]
+
+
+class _Degrees(Mapping):
+    """One catalog algebra's degree of each kind in ``DEGREE_FUNCTIONS``,
+    read from its catalog's :class:`_CatalogDegrees`, so a reader of one kind
+    (``spectrum``) pays for one. emd and dnd are None on an unbounded
+    algebra."""
+
+    def __init__(self, catalog: _CatalogDegrees, i: int):
+        self._catalog, self._i = catalog, i
 
     def __getitem__(self, kind: str) -> Degree | None:
-        if kind not in self._known:
-            bounded = self._algebra.bound is not None
-            fn = DEGREE_FUNCTIONS[kind]
-            self._known[kind] = fn(self._algebra) if bounded or kind not in ("emd", "dnd") else None
-        return self._known[kind]
+        return self._catalog.of(kind)[self._i]
 
     def __iter__(self):
         return iter(DEGREE_FUNCTIONS)
@@ -264,15 +317,18 @@ class _Degrees(Mapping):
         return repr(dict(self))
 
 
-def profile_algebra(algebra: BckAlgebra) -> CatalogEntry:
-    return CatalogEntry(
-        algebra=algebra,
-        bound=algebra.bound,
-        linear=algebra.is_linear(),
-        commutative=algebra.is_commutative(),
-        positive_implicative=algebra.is_positive_implicative(),
-        implicative=algebra.is_implicative(),
-        degrees=_Degrees(algebra),
+def _profile(stack: np.ndarray) -> tuple[CatalogEntry, ...]:
+    """The entries of a (k, n, n) stack of algebras: their bounds and flags
+    in one stacked pass each, their degrees counted over the stack when
+    read. Each algebra's array is a read-only view of the stack."""
+    stack.flags.writeable = False
+    algebras = _build_stack(stack)
+    bounds = [a.bound for a in algebras]
+    flags = _stack_flags(stack)
+    degrees = _CatalogDegrees(stack, bounds, flags[1])
+    return tuple(
+        CatalogEntry(a, a.bound, linear, commutative, positive, implicative, _Degrees(degrees, i))
+        for i, (a, linear, commutative, positive, implicative) in enumerate(zip(algebras, *flags))
     )
 
 
@@ -310,8 +366,7 @@ def enumerate_algebras(n: int, jobs: int = 1, max_nodes: int | None = None) -> C
         with multiprocessing.Pool(jobs) as pool:
             results = pool.map(_complete_state, tasks)
     canon = sorted({tab for chunk in results for tab in chunk})
-    entries = tuple(profile_algebra(_build(n, tab)) for tab in canon)
-    return Catalog(n, entries)
+    return Catalog(n, _profile(np.array(canon, dtype=np.intp)))
 
 
 SPECTRUM_KINDS = ("emd", "dnd", "cd", "pid", "id")
@@ -547,15 +602,33 @@ def load_catalog(dirpath) -> Catalog:
     """Load a persisted catalog. Every table is re-validated and re-profiled:
     of ``index.json`` only the order and the file names are read, so stored
     flags and degrees are never trusted. A table whose order differs from
-    the index's raises :class:`MalformedTableError`."""
+    the index's raises :class:`MalformedTableError`.
+
+    The files are read one by one, in index order, and then checked in one
+    stacked pass. What a bad catalog raises is what checking each file as
+    it is read would raise: the first fault in index order, whether a file
+    that cannot be read or parsed, a table that breaks an axiom (the
+    :class:`BckAxiomError` of :func:`from_table`), or one of another order.
+    """
     index = json.loads(tableio.read_text(os.path.join(dirpath, "index.json"), "catalog index"))
     order = index["order"]
-    entries = []
-    for rec in index["algebras"]:
-        algebra = tableio.load_algebra(os.path.join(dirpath, rec["file"]))
-        if algebra.order != order:
-            raise MalformedTableError(
-                f"{rec['file']} has order {algebra.order}, but the catalog index says {order}"
-            )
-        entries.append(profile_algebra(algebra))
-    return Catalog(order, tuple(entries))
+    tables, fault = [], None
+    try:
+        for rec in index["algebras"]:
+            n, table = tableio.read_table(os.path.join(dirpath, rec["file"]))
+            if n != order:
+                from_table(n, table)  # its axioms come before its order, as when loaded alone
+                raise MalformedTableError(
+                    f"{rec['file']} has order {n}, but the catalog index says {order}"
+                )
+            tables.append(table)
+    except Exception as exc:  # raised below, once the tables before it are checked
+        fault = exc
+    if tables:
+        stack = np.stack(tables)
+        ok = _stack_ok(stack)
+        if not ok.all():
+            raise BckAxiomError(_axiom_report(stack[ok.argmin()]))
+    if fault is not None:
+        raise fault
+    return Catalog(order, _profile(stack) if tables else ())

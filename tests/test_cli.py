@@ -641,15 +641,16 @@ WELL_FORMED = {
 
 
 @pytest.fixture
-def subparsers_built(monkeypatch):
+def parsers_built(monkeypatch):
+    # the prog of every argparse parser made, subparsers included
     built = []
-    add_parser = argparse._SubParsersAction.add_parser
+    init = argparse.ArgumentParser.__init__
 
-    def spy(self, name, **kwargs):
-        built.append(name)
-        return add_parser(self, name, **kwargs)
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
     return built
 
 
@@ -658,21 +659,32 @@ def test_well_formed_commands_cover_every_subcommand():
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_one_subparser_built(capsys, subparsers_built, pi_file, tc_file, command):
+def test_one_subparser_built(capsys, parsers_built, pi_file, tc_file, command):
     argv = [a.format(pi=pi_file, tc=tc_file) for a in WELL_FORMED[command]]
     code, _, err = run(capsys, *argv)
     assert code == 0 and err == ""
-    assert subparsers_built == [command]
+    assert parsers_built == [f"bck {command}"]
 
 
-def test_usage_error_after_command_builds_full_parser(capsys, columns80, subparsers_built, pi_file):
+def test_usage_error_after_command_builds_full_parser(capsys, columns80, parsers_built, pi_file):
     code, out, err = exit_of(capsys, main, ["verify", pi_file, "--bogus"])
     assert (code, out) == (2, "")
     assert err.startswith(
         "usage: bck [-h]\n"
         "           {verify,props,degree,family,construct,gap,enumerate,spectrum,audit,decompose}\n"
     )
-    assert subparsers_built == ["verify", *COMMANDS]
+    assert parsers_built == ["bck verify", "bck", *(f"bck {c}" for c in COMMANDS)]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_parser_matches_its_subparser(columns80, command):
+    # the one parser main builds prints the help and usage of the full
+    # parser's subparser, byte for byte
+    full = cli.build_parser()._subparsers._group_actions[0].choices[command]
+    alone = cli._SilentParser(prog=f"bck {command}")
+    cli._add_command(alone, command)
+    assert alone.format_help() == full.format_help()
+    assert alone.format_usage() == full.format_usage()
 
 
 def test_build_parser_of_one_command(capsys, columns80):

@@ -1,10 +1,17 @@
 import itertools
 import json
 import math
+import shutil
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from bck import algebra as algebra_module
 from bck import enumeration
+from bck.algebra import _check_small, _stack_ok
+from bck.cli import main as cli_main
+from bck.degrees import DEGREE_EQUATION_NAMES, DEGREE_FUNCTIONS, ds_stack
 from bck import (
     Degree,
     EnumerationLimitError,
@@ -12,6 +19,7 @@ from bck import (
     audit_bounds,
     automorphism_count,
     bck_union,
+    builtin,
     canonical_table,
     chain,
     check_axioms,
@@ -19,9 +27,11 @@ from bck import (
     direct_product,
     enumerate_algebras,
     enumerate_labeled_tables,
+    family,
     from_table,
     iseki_extension,
     load_catalog,
+    parse,
     pi,
     q_algebra,
     save_catalog,
@@ -259,19 +269,20 @@ def test_spectrum_rejects_unknown_kind(catalog3):
 
 
 def test_spectrum_computes_only_its_kind(monkeypatch):
-    # each degree is computed when first read, so a spectrum of one kind
-    # evaluates that kind once per algebra and no other kind at all
+    # each kind is counted for the whole catalog when first read, so a
+    # spectrum of one kind counts that kind once and no other kind at all
     calls = []
+    stack_degrees = enumeration.stack_degrees
 
-    def counted(kind, fn):
-        return lambda algebra: calls.append(kind) or fn(algebra)
+    def counted(kind, *args):
+        calls.append(kind)
+        return stack_degrees(kind, *args)
 
-    for kind, fn in list(enumeration.DEGREE_FUNCTIONS.items()):
-        monkeypatch.setitem(enumeration.DEGREE_FUNCTIONS, kind, counted(kind, fn))
+    monkeypatch.setattr(enumeration, "stack_degrees", counted)
     cat = enumerate_algebras(4)
     rep = spectrum(cat, "cd")
     spectrum(cat, "cd")
-    assert calls == ["cd"] * len(cat)
+    assert calls == ["cd"]
     assert rep.achieved == tuple(sorted({e.degrees["cd"] for e in enumerate_algebras(4).entries}))
 
 
@@ -404,3 +415,181 @@ def test_load_catalog_rejects_table_of_another_order(tmp_path, catalog3):
     (tmp_path / "cat3" / rec["file"]).write_text(tableio.dumps(4, chain(4).table))
     with pytest.raises(MalformedTableError, match="has order 4, but the catalog index says 3"):
         load_catalog(tmp_path / "cat3")
+
+
+# --- a catalog is loaded, checked and profiled as one stacked table array ----
+
+def _load_per_file(dirpath):
+    # the former loader, file by file in index order: the oracle of what a
+    # bad catalog must raise
+    index = json.loads((dirpath / "index.json").read_text())
+    for rec in index["algebras"]:
+        algebra = tableio.load_algebra(dirpath / rec["file"])
+        if algebra.order != index["order"]:
+            raise MalformedTableError(
+                f"{rec['file']} has order {algebra.order}, but the catalog index says {index['order']}"
+            )
+
+
+# a fault written over one table file of an order-4 catalog, and the exit
+# code `bck audit`/`bck spectrum --catalog` give for it
+LOAD_FAULTS = {
+    "axioms": ("4\n0 0 0 0\n1 0 0 0\n2 2 0 0\n3 3 3 1\n", 1),
+    "order": (tableio.dumps(3, chain(3).table), 2),
+    "order_and_axioms": ("3\n0 0 0\n1 0 0\n2 2 1\n", 1),
+    "malformed": ("4\n0 0 0 0\n1 0 0\n", 2),
+    "missing": (None, 2),
+    "not_utf8": (b"\xff\xfe", 2),
+}
+
+
+def _break(path, fault):
+    text = LOAD_FAULTS[fault][0]
+    if text is None:
+        path.unlink()
+    elif isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # any exception: its type and message are compared
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.fixture(scope="module")
+def saved_catalog4(tmp_path_factory, catalog4):
+    path = tmp_path_factory.mktemp("cat4")
+    save_catalog(catalog4, path)
+    files = [rec["file"] for rec in json.loads((path / "index.json").read_text())["algebras"]]
+    return path, files
+
+
+def _faulty_copy(tmp_path, saved, faults):
+    path, files = saved
+    copy = tmp_path / "cat"
+    shutil.copytree(path, copy)
+    for i, fault in faults.items():
+        _break(copy / files[i], fault)
+    return copy
+
+
+@pytest.mark.parametrize("first", LOAD_FAULTS)
+@pytest.mark.parametrize("second", [None, *LOAD_FAULTS])
+def test_load_catalog_raises_what_the_per_file_loop_raises(tmp_path, saved_catalog4, first, second):
+    # the first bad file in index order decides, whatever its fault and
+    # whatever the faults after it
+    faults = {3: first} if second is None else {3: first, 9: second}
+    cat = _faulty_copy(tmp_path, saved_catalog4, faults)
+    expected = _raised(_load_per_file, cat)
+    assert expected is not None
+    assert _raised(load_catalog, cat) == expected
+
+
+@pytest.mark.parametrize("fault", LOAD_FAULTS)
+def test_bad_catalog_exit_codes(capsys, tmp_path, saved_catalog4, fault):
+    cat = _faulty_copy(tmp_path, saved_catalog4, {5: fault})
+    _, message = _raised(_load_per_file, cat)
+    for argv in (["audit", "--order", "4"], ["spectrum", "--order", "4", "--kind", "cd"]):
+        code = cli_main([*argv, "--catalog", str(cat)])
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (LOAD_FAULTS[fault][1], "", f"error: {message}\n")
+
+
+def _noisy_copies(catalog):
+    # each entry with one cell moved to the next value: mostly not algebras
+    out = []
+    for i, e in enumerate(catalog.entries):
+        t = [list(row) for row in e.algebra.table]
+        n = catalog.order
+        x, y = 1 + i % max(1, n - 1), (i // max(1, n - 1)) % n
+        if n > 1:
+            t[x][y] = (t[x][y] + 1) % n
+        out.append(t)
+    return out
+
+
+@pytest.fixture(scope="module")
+def catalogs_1_to_6(small_catalogs):
+    return {**small_catalogs, 6: enumerate_algebras(6)}
+
+
+def _check_stack_against_check_small(tables, n):
+    stack = np.array(tables, dtype=np.intp).reshape(-1, n, n)
+    expected = [not _check_small(n, t) for t in stack.tolist()]
+    assert _stack_ok(stack).tolist() == expected
+    return expected
+
+
+@pytest.mark.parametrize("block_cells", [None, 7 * 25])
+def test_stacked_check_agrees_with_check_small(monkeypatch, catalogs_1_to_6, block_cells):
+    # 7 * 25 cells are 7 rows of an order-5 table: the BCK1 blocks split tables
+    if block_cells is not None:
+        monkeypatch.setattr(algebra_module, "_BCK1_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(algebra_module, "_BLOCK_CELLS", block_cells)
+    for n, cat in catalogs_1_to_6.items():
+        assert all(_check_stack_against_check_small([e.algebra.table for e in cat.entries], n))
+        noisy = _check_stack_against_check_small(_noisy_copies(cat), n)
+        assert n < 3 or not all(noisy)
+    # every fill of the free cells of an order-4 table, as in the oracle above
+    free = [(x, y) for x in range(1, 4) for y in range(1, 4) if x != y]
+    fills = []
+    for vals in itertools.product(range(4), repeat=len(free)):
+        t = [[0] * 4] + [[x if y == 0 else 0 for y in range(4)] for x in range(1, 4)]
+        for (x, y), v in zip(free, vals):
+            t[x][y] = v
+        fills.append(t)
+    assert len(fills) == 4096
+    assert sum(_check_stack_against_check_small(fills, 4)) == 67
+
+
+def test_stacked_flags_and_degrees_agree_with_per_algebra(catalogs_1_to_6):
+    for cat in catalogs_1_to_6.values():
+        for e in cat.entries:
+            a = e.algebra
+            assert (e.bound, e.linear, e.commutative, e.positive_implicative, e.implicative) == (
+                a.bound, a.is_linear(), a.is_commutative(), a.is_positive_implicative(),
+                a.is_implicative(),
+            )
+            for kind, fn in DEGREE_FUNCTIONS.items():
+                d = e.degrees[kind]
+                if a.bound is None and kind in ("emd", "dnd"):
+                    assert d is None
+                else:
+                    want = fn(a)
+                    assert (d.count, d.total, d.note) == (want.count, want.total, want.note)
+
+
+def test_stacked_degrees_in_blocks(monkeypatch, catalog5):
+    # with 7 cells per table a block spans the stack but cuts the grid
+    monkeypatch.setattr(algebra_module, "_BLOCK_CELLS", 7 * len(catalog5))
+    stack = np.array([e.algebra.table for e in catalog5.entries], dtype=np.intp)
+    for kind in ("cd", "pid", "id"):
+        eq = builtin(DEGREE_EQUATION_NAMES[kind])
+        assert ds_stack(stack, eq) == [e.degrees[kind].count for e in catalog5.entries]
+    x_is_x = parse("x = x")
+    assert ds_stack(stack, x_is_x) == [5] * len(catalog5)
+
+
+def test_load_catalog_memory_is_bounded(tmp_path):
+    # three order-128 tables: their BCK1 triples would take 3 * 128^3 * 8 B
+    # = 50 MB as one intp array
+    tables = [chain(128), family("Q", 128), family("B", 128)]
+    index = {"order": 128, "algebras": []}
+    for i, a in enumerate(tables):
+        tableio.dump_algebra(tmp_path / f"{i}.tbl", a)
+        index["algebras"].append({"file": f"{i}.tbl"})
+    (tmp_path / "index.json").write_text(json.dumps(index))
+    stack_bytes = 3 * 128 * 128 * 8
+    tracemalloc.start()
+    try:
+        loaded = load_catalog(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [e.algebra for e in loaded.entries] == tables
+    assert peak < 12 * stack_bytes < 3 * 128**3 * 8 // 4
