@@ -22,8 +22,8 @@ from . import tableio
 from .algebra import BckAxiomError, MalformedTableError, UnboundedAlgebraError, check_axioms
 from .constructions import FAMILY_NAMES, bck_union, direct_product, family, iseki_extension
 from .degrees import (
-    DEGREE_EQUATION_NAMES,
     DEGREE_FUNCTIONS,
+    DEGREE_KINDS,
     DecompositionError,
     NotCommutativeError,
     decompose_commutative,
@@ -31,7 +31,6 @@ from .degrees import (
     gap_evidence,
 )
 from .enumeration import (
-    SPECTRUM_KINDS,
     EnumerationLimitError,
     audit_bounds,
     enumerate_algebras,
@@ -48,11 +47,6 @@ def _emit(args, report: dict, lines: list[str]) -> None:
     else:
         for line in lines:
             print(line)
-
-
-def _resolve_equation(args):
-    # argparse enforces that exactly one of --kind/--eq is present
-    return builtin(args.kind) if args.kind else parse(args.eq)
 
 
 def cmd_verify(args) -> int:
@@ -75,6 +69,10 @@ def cmd_verify(args) -> int:
     return 1
 
 
+# the property flags `props` and `enumerate` report, in report order
+_FLAGS = ("linear", "commutative", "positive_implicative", "implicative")
+
+
 def cmd_props(args) -> int:
     algebra = tableio.load_algebra(args.file)
     atoms = sorted(algebra.atoms())
@@ -90,7 +88,7 @@ def cmd_props(args) -> int:
     out = {"command": "props", "inputs": {"file": args.file}, "results": results}
     lines = [f"order: {algebra.order}"]
     lines.append("bounded: no" if algebra.bound is None else f"bounded: yes (1 = {algebra.bound})")
-    for key in ("linear", "commutative", "positive_implicative", "implicative"):
+    for key in _FLAGS:
         lines.append(f"{key}: {'yes' if results[key] else 'no'}")
     lines.append("atoms: " + " ".join(str(a) for a in atoms))
     _emit(args, out, lines)
@@ -101,7 +99,7 @@ def cmd_degree(args) -> int:
     algebra = tableio.load_algebra(args.file)
     if args.kind:
         d = DEGREE_FUNCTIONS[args.kind](algebra)
-        shown = BUILTIN_EQUATIONS[DEGREE_EQUATION_NAMES[args.kind]]
+        shown = DEGREE_KINDS[args.kind].source
     else:
         eq = parse(args.eq)
         d = ds(algebra, eq)
@@ -154,7 +152,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    eq = _resolve_equation(args)
+    eq = builtin(args.kind) if args.kind else parse(args.eq)  # argparse requires one
     ev = gap_evidence(eq, args.max_n)
     results = {
         "equation": pretty(eq),
@@ -200,18 +198,6 @@ def _catalog_for(args):
     return enumerate_algebras(args.order, jobs=getattr(args, "jobs", 1))
 
 
-def _entry_json(entry):
-    return {
-        "table": [list(row) for row in entry.algebra.table],
-        "bound": entry.bound,
-        "linear": entry.linear,
-        "commutative": entry.commutative,
-        "positive_implicative": entry.positive_implicative,
-        "implicative": entry.implicative,
-        "degrees": {k: (d.to_json() if d else None) for k, d in entry.degrees.items()},
-    }
-
-
 def cmd_enumerate(args) -> int:
     catalog = enumerate_algebras(args.order, jobs=args.jobs, max_nodes=args.max_nodes)
     if args.out:
@@ -219,7 +205,10 @@ def cmd_enumerate(args) -> int:
     results = {
         "order": args.order,
         "count": len(catalog),
-        "algebras": [_entry_json(e) for e in catalog.entries],
+        "algebras": [
+            {"table": [list(row) for row in e.algebra.table], **e.to_json()}
+            for e in catalog.entries
+        ],
     }
     out = {
         "command": "enumerate",
@@ -227,18 +216,10 @@ def cmd_enumerate(args) -> int:
         "results": results,
     }
     lines = [f"order {args.order}: {len(catalog)} algebras up to isomorphism"]
-    for e in catalog.entries:
-        flags = []
-        flags.append("bounded" if e.bound is not None else "unbounded")
-        for name, val in (
-            ("linear", e.linear),
-            ("commutative", e.commutative),
-            ("positive_implicative", e.positive_implicative),
-            ("implicative", e.implicative),
-        ):
-            if val:
-                flags.append(name)
-        row = " ".join(",".join(str(v) for v in r) for r in e.algebra.table)
+    for rec in results["algebras"]:
+        flags = ["bounded" if rec["bound"] is not None else "unbounded"]
+        flags += [key for key in _FLAGS if rec[key]]
+        row = " ".join(",".join(str(v) for v in r) for r in rec["table"])
         lines.append(f"  [{row}] {' '.join(flags)}")
     _emit(args, out, lines)
     return 0
@@ -352,7 +333,7 @@ def _file_argument(p):
 def _degree_arguments(p):
     p.add_argument("file")
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--kind", choices=tuple(DEGREE_FUNCTIONS))
+    g.add_argument("--kind", choices=tuple(DEGREE_KINDS))
     g.add_argument("--eq")
     p.add_argument("--jobs", type=jobs, default=1, help="accepted; degrees count serially")
 
@@ -386,7 +367,7 @@ def _enumerate_arguments(p):
 
 def _spectrum_arguments(p):
     p.add_argument("--order", type=size, required=True)
-    p.add_argument("--kind", choices=SPECTRUM_KINDS, required=True)
+    p.add_argument("--kind", choices=tuple(DEGREE_KINDS), required=True)
     p.add_argument("--catalog", help="persisted catalog directory to reuse")
     p.add_argument("--jobs", type=jobs, default=1, help="enumeration worker processes")
 
@@ -413,11 +394,11 @@ COMMANDS = {
 }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The `bck` parser with every subcommand, or with only ``command``'s."""
+def build_parser() -> argparse.ArgumentParser:
+    """The `bck` parser with every subcommand."""
     top = argparse.ArgumentParser(prog="bck", description="Finite BCK-algebra workbench")
     sub = top.add_subparsers(dest="command", required=True)
-    for name in COMMANDS if command is None else (command,):
+    for name in COMMANDS:
         _add_command(sub.add_parser(name, help=COMMANDS[name][1]), name)
     return top
 

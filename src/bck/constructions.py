@@ -8,9 +8,10 @@ Index layouts are fixed so that emitted tables are byte-stable:
 - direct_product(A, B): row-major pairs, (a, b) maps to a*|B| + b.
 
 Each constructor broadcasts its operands' arrays into one table array and
-builds its algebra once. None runs the axiom checker on its output: each
-builds a BCK-algebra by a theorem, and the test suite checks their outputs
-over wide ranges of arguments (tests/test_constructions.py). Tables that
+builds its algebra once; ``family`` builds B, M, P and P' from their closed
+forms. None runs the axiom checker on its output: each builds a
+BCK-algebra by a theorem, and the test suite checks their outputs over
+wide ranges of arguments (tests/test_constructions.py). Tables that
 arrive from outside are checked once, by ``from_table``.
 """
 
@@ -51,20 +52,15 @@ def chain(n: int) -> BckAlgebra:
     return _build(n, np.maximum(x[:, None] - x, 0))
 
 
-def _union(s: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # bck_union on tables: x*y = x across components
-    n, size = len(s), len(s) + len(u) - 1
-    t = np.repeat(np.arange(size), size).reshape(size, size)
-    t[:n, :n] = s
-    lift = np.r_[0, n:size]  # u's element j in the union
-    t[np.ix_(lift, lift)] = lift[u]
-    return t
-
-
 def bck_union(a: BckAlgebra, b: BckAlgebra) -> BckAlgebra:
     """Disjoint union glued at 0: x*y is the component operation when x, y
     share a component, else x. Order |A| + |B| - 1."""
-    return _build(a.order + b.order - 1, _union(a.array, b.array))
+    n, size = a.order, a.order + b.order - 1
+    t = np.repeat(np.arange(size), size).reshape(size, size)
+    t[:n, :n] = a.array
+    lift = np.r_[0, n:size]  # b's element j in the union
+    t[np.ix_(lift, lift)] = lift[b.array]
+    return _build(size, t)
 
 
 def _iseki(s: np.ndarray) -> np.ndarray:
@@ -139,6 +135,10 @@ def family(name: str, n: int) -> BckAlgebra:
        realizes the maximum positive implicative degree (n^2-1)/n^2.
     Pprime: order n (n >= 3), base tc(), then repeated top extension;
        same maximum positive implicative degree, but linear.
+
+    B, M, P and Pprime are built in closed form: outside the base block
+    {0, 1, 2}, x*y = x for x != y after unions, x*y = x for x > y and 0
+    for x < y after top extensions; x*x = 0.
     """
     if name == "C":
         return chain(n)
@@ -150,7 +150,7 @@ def family(name: str, n: int) -> BckAlgebra:
         raise ValueError(f"unknown family {name!r}, expected one of {FAMILY_NAMES}")
     if n < 3:
         raise ValueError(f"family {name} needs n >= 3, got {n}")
-    t = (pi() if name in ("B", "M") else tc()).array
-    for _ in range(n - 3):
-        t = _union(t, two().array) if name in ("B", "P") else _iseki(t)
+    x = np.arange(n)[:, None]
+    t = np.where(x > x.T if name in ("M", "Pprime") else x != x.T, x, 0)
+    t[:3, :3] = (pi() if name in ("B", "M") else tc()).array
     return _build(n, t)

@@ -3,6 +3,7 @@
 All degrees are exact rationals stored as (satisfying count, n^k); no
 floating point enters the semantics anywhere. Counts come from the gather
 kernel the large-order axiom checks use too.
+The studied degree kinds are declared once, in ``DEGREE_KINDS``.
 """
 
 from __future__ import annotations
@@ -12,12 +13,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import total_ordering
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from .algebra import BckAlgebra, _Tables, grid_masks
 from .constructions import chain, direct_product
-from .terms import Equation, builtin, holds
+from .terms import BUILTIN_EQUATIONS, Equation, builtin, holds
 
 
 class NotCommutativeError(ValueError):
@@ -122,70 +124,88 @@ def ds_stack(stack: np.ndarray, eq: Equation, bounds: np.ndarray | None = None) 
     return counts.tolist()
 
 
-# excluded_middle_degree's note on a non-commutative algebra
-_EM_NOTE = "outside usual hypothesis: algebra is not commutative"
+class DegreeKind(NamedTuple):
+    """A studied degree kind: the builtin equation it counts, whether that
+    equation needs a greatest element, and the note its degree carries on a
+    non-commutative algebra, if any."""
+
+    equation: str
+    bounded: bool = False
+    note: str | None = None
+
+    @property
+    def source(self) -> str:
+        """The equation's source text, from terms.BUILTIN_EQUATIONS."""
+        return BUILTIN_EQUATIONS[self.equation]
+
+    def of(self, algebra: BckAlgebra) -> Degree:
+        """The algebra's degree of this kind."""
+        d = ds(algebra, builtin(self.equation))
+        # only a kind with a note needs commutativity, an O(n^2) check
+        return self.degree(d.count, d.total, self.note is None or algebra.is_commutative())
+
+    def degree(self, count: int, total: int, commutative: bool) -> Degree:
+        """``count`` of ``total``, with the kind's note if not ``commutative``."""
+        return Degree(count, total, note=None if commutative else self.note)
+
+
+# The studied degree kinds, in report order; every other list of kinds
+# derives from this table. Excluded middle is usually defined only for
+# bounded commutative algebras: elsewhere its literal degree is noted.
+DEGREE_KINDS = {
+    "emd": DegreeKind("EM", bounded=True, note="outside usual hypothesis: algebra is not commutative"),
+    "dnd": DegreeKind("DN", bounded=True),
+    "cd": DegreeKind("T"),
+    "pid": DegreeKind("E1"),
+    "id": DegreeKind("I"),
+}
 
 
 def excluded_middle_degree(algebra: BckAlgebra) -> Degree:
-    """Degree of x | ~x = 1 over a bounded algebra.
-
-    Defined in the usual treatment only for bounded commutative algebras;
-    on a non-commutative input the literal term degree is computed and the
-    result carries a warning note instead of erroring.
-    """
-    d = ds(algebra, builtin("EM"))
-    if not algebra.is_commutative():
-        d = Degree(d.count, d.total, note=_EM_NOTE)
-    return d
+    """Degree of x | ~x = 1 over a bounded algebra; noted on a
+    non-commutative one (see DEGREE_KINDS)."""
+    return DEGREE_KINDS["emd"].of(algebra)
 
 
 def double_negation_degree(algebra: BckAlgebra) -> Degree:
     """Degree of ~~x = x over a bounded algebra."""
-    return ds(algebra, builtin("DN"))
+    return DEGREE_KINDS["dnd"].of(algebra)
 
 
 def commuting_degree(algebra: BckAlgebra) -> Degree:
     """Degree of x & y = y & x."""
-    return ds(algebra, builtin("T"))
+    return DEGREE_KINDS["cd"].of(algebra)
 
 
 def positive_implicative_degree(algebra: BckAlgebra) -> Degree:
     """Degree of x . y = (x . y) . y."""
-    return ds(algebra, builtin("E1"))
+    return DEGREE_KINDS["pid"].of(algebra)
 
 
 def implicative_degree(algebra: BckAlgebra) -> Degree:
     """Degree of x . (y . x) = x."""
-    return ds(algebra, builtin("I"))
+    return DEGREE_KINDS["id"].of(algebra)
 
 
-DEGREE_FUNCTIONS = {
-    "emd": excluded_middle_degree,
-    "dnd": double_negation_degree,
-    "cd": commuting_degree,
-    "pid": positive_implicative_degree,
-    "id": implicative_degree,
-}
-
-DEGREE_EQUATION_NAMES = {"emd": "EM", "dnd": "DN", "cd": "T", "pid": "E1", "id": "I"}
+DEGREE_FUNCTIONS = {kind: spec.of for kind, spec in DEGREE_KINDS.items()}
 
 
 def stack_degrees(kind: str, stack: np.ndarray, bounds, commutative) -> list[Degree | None]:
     """``DEGREE_FUNCTIONS[kind]`` of each algebra of a (k, n, n) stack, counted
     by one :func:`ds_stack`. ``bounds`` and ``commutative`` give each
-    algebra's bound (or None) and commutativity. emd and dnd need a bound:
-    on an unbounded algebra they are None. emd carries its note where the
-    algebra is not commutative."""
-    eq = builtin(DEGREE_EQUATION_NAMES[kind])
+    algebra's bound (or None) and commutativity. A kind that needs a bound
+    is None on an unbounded algebra."""
+    spec = DEGREE_KINDS[kind]
+    eq = builtin(spec.equation)
     total = stack.shape[-1] ** eq.arity
-    if kind not in ("emd", "dnd"):
-        return [Degree(c, total) for c in ds_stack(stack, eq)]
-    bounded = [i for i, b in enumerate(bounds) if b is not None]
-    counts = ds_stack(stack[bounded], eq, np.array([bounds[i] for i in bounded], np.intp))
+    if spec.bounded:
+        kept = [i for i, b in enumerate(bounds) if b is not None]
+        counts = ds_stack(stack[kept], eq, np.array([bounds[i] for i in kept], np.intp))
+    else:
+        kept, counts = range(len(stack)), ds_stack(stack, eq)
     out: list[Degree | None] = [None] * len(stack)
-    for i, c in zip(bounded, counts):
-        note = _EM_NOTE if kind == "emd" and not commutative[i] else None
-        out[i] = Degree(c, total, note=note)
+    for i, c in zip(kept, counts):
+        out[i] = spec.degree(c, total, commutative[i])
     return out
 
 

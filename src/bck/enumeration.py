@@ -61,7 +61,7 @@ from .algebra import (
     from_table,
 )
 from .degrees import (
-    DEGREE_FUNCTIONS,
+    DEGREE_KINDS,
     Degree,
     DecompositionError,
     decompose_commutative,
@@ -256,12 +256,22 @@ def enumerate_labeled_tables(n: int, max_nodes: int | None = None) -> list[tuple
 @dataclass(frozen=True)
 class CatalogEntry:
     algebra: BckAlgebra
-    bound: int | None
     linear: bool
     commutative: bool
     positive_implicative: bool
     implicative: bool
     degrees: Mapping[str, Degree | None]
+
+    def to_json(self) -> dict:
+        """Bound, flags and degrees, as `bck enumerate` and index.json print them."""
+        return {
+            "bound": self.algebra.bound,
+            "linear": self.linear,
+            "commutative": self.commutative,
+            "positive_implicative": self.positive_implicative,
+            "implicative": self.implicative,
+            "degrees": {k: (d.to_json() if d else None) for k, d in self.degrees.items()},
+        }
 
 
 @dataclass(frozen=True)
@@ -296,10 +306,10 @@ class _CatalogDegrees:
 
 
 class _Degrees(Mapping):
-    """One catalog algebra's degree of each kind in ``DEGREE_FUNCTIONS``,
-    read from its catalog's :class:`_CatalogDegrees`, so a reader of one kind
-    (``spectrum``) pays for one. emd and dnd are None on an unbounded
-    algebra."""
+    """One catalog algebra's degree of each kind in ``DEGREE_KINDS``, read
+    from its catalog's :class:`_CatalogDegrees`, so a reader of one kind
+    (``spectrum``) pays for one. A kind that needs a bound is None on an
+    unbounded algebra."""
 
     def __init__(self, catalog: _CatalogDegrees, i: int):
         self._catalog, self._i = catalog, i
@@ -308,10 +318,10 @@ class _Degrees(Mapping):
         return self._catalog.of(kind)[self._i]
 
     def __iter__(self):
-        return iter(DEGREE_FUNCTIONS)
+        return iter(DEGREE_KINDS)
 
     def __len__(self) -> int:
-        return len(DEGREE_FUNCTIONS)
+        return len(DEGREE_KINDS)
 
     def __repr__(self) -> str:
         return repr(dict(self))
@@ -327,7 +337,7 @@ def _profile(stack: np.ndarray) -> tuple[CatalogEntry, ...]:
     flags = _stack_flags(stack)
     degrees = _CatalogDegrees(stack, bounds, flags[1])
     return tuple(
-        CatalogEntry(a, a.bound, linear, commutative, positive, implicative, _Degrees(degrees, i))
+        CatalogEntry(a, linear, commutative, positive, implicative, _Degrees(degrees, i))
         for i, (a, linear, commutative, positive, implicative) in enumerate(zip(algebras, *flags))
     )
 
@@ -369,9 +379,6 @@ def enumerate_algebras(n: int, jobs: int = 1, max_nodes: int | None = None) -> C
     return Catalog(n, _profile(np.array(canon, dtype=np.intp)))
 
 
-SPECTRUM_KINDS = ("emd", "dnd", "cd", "pid", "id")
-
-
 @dataclass(frozen=True)
 class SpectrumReport:
     """Achieved degree values of one kind across a catalog.
@@ -405,9 +412,10 @@ def _possible_degrees(n: int, kind: str) -> tuple[Degree, ...] | None:
 
 def spectrum(catalog: Catalog, kind: str) -> SpectrumReport:
     """Collect the achieved values of one degree kind over the catalog,
-    with one witness per value; emd and dnd consider bounded entries only."""
-    if kind not in SPECTRUM_KINDS:
-        raise ValueError(f"kind must be one of {SPECTRUM_KINDS}, got {kind!r}")
+    with one witness per value; a kind that needs a bound considers bounded
+    entries only."""
+    if kind not in DEGREE_KINDS:
+        raise ValueError(f"kind must be one of {tuple(DEGREE_KINDS)}, got {kind!r}")
     witnesses: dict[Degree, BckAlgebra] = {}
     for entry in catalog.entries:
         d = entry.degrees[kind]
@@ -496,7 +504,7 @@ def audit_bounds(catalog: Catalog) -> AuditReport:
     lo_dnd, hi_dnd = Fraction(2, n), Fraction(n - 1, n)
     run(
         "dnd_bounds_noncommutative_bounded",
-        lambda e: not e.commutative and e.bound is not None,
+        lambda e: not e.commutative and e.algebra.bound is not None,
         lambda e: lo_dnd <= e.degrees["dnd"].fraction <= hi_dnd,
         lambda e: f"dnd = {e.degrees['dnd'].reduced} outside [{lo_dnd}, {hi_dnd}]",
     )
@@ -573,20 +581,7 @@ def save_catalog(catalog: Catalog, dirpath) -> None:
         fname = hashlib.sha256(text.encode()).hexdigest()[:16] + ".tbl"
         with open(os.path.join(dirpath, fname), "w", encoding="utf-8") as fh:
             fh.write(text)
-        index["algebras"].append(
-            {
-                "file": fname,
-                "bound": e.bound,
-                "linear": e.linear,
-                "commutative": e.commutative,
-                "positive_implicative": e.positive_implicative,
-                "implicative": e.implicative,
-                "degrees": {
-                    kind: (d.to_json() if d is not None else None)
-                    for kind, d in e.degrees.items()
-                },
-            }
-        )
+        index["algebras"].append({"file": fname, **e.to_json()})
     with open(os.path.join(dirpath, "index.json"), "w", encoding="utf-8") as fh:
         json.dump(index, fh, indent=2, sort_keys=True)
         fh.write("\n")

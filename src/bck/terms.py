@@ -265,11 +265,11 @@ def pretty(eq: Equation) -> str:
 
 
 BUILTIN_EQUATIONS = {
-    "DN": "~~x = x",
-    "EM": "x | ~x = 1",
-    "T": "x & y = y & x",
-    "E1": "x . y = (x . y) . y",
-    "I": "x . (y . x) = x",
+    "DN": "~~x = x",  # double negation
+    "EM": "x | ~x = 1",  # excluded middle
+    "T": "x & y = y & x",  # commutativity
+    "E1": "x . y = (x . y) . y",  # positive implicativity
+    "I": "x . (y . x) = x",  # implicativity
     "X1": "x = 1",
     "NX1": "~x = 1",
 }
@@ -277,9 +277,7 @@ BUILTIN_EQUATIONS = {
 
 @cache
 def builtin(name: str) -> Equation:
-    """One of the studied equations: DN (double negation), EM (excluded
-    middle), T (commutativity), E1 (positive implicativity), I
-    (implicativity), X1 (x = 1), NX1 (~x = 1). Parsed once per name."""
+    """The equation ``BUILTIN_EQUATIONS[name]``, parsed once per name."""
     try:
         return parse(BUILTIN_EQUATIONS[name])
     except KeyError:

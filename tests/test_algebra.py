@@ -344,7 +344,7 @@ def test_ops_respect_derived_order_laws():
 def test_bounded_commutative_double_negation_is_identity(small_catalogs):
     for cat in small_catalogs.values():
         for entry in cat.entries:
-            if entry.commutative and entry.bound is not None:
+            if entry.commutative and entry.algebra.bound is not None:
                 alg = entry.algebra
                 assert all(alg.neg(alg.neg(x)) == x for x in alg.elements)
 
@@ -352,7 +352,7 @@ def test_bounded_commutative_double_negation_is_identity(small_catalogs):
 def test_bounded_commutative_meet_join_form_distributive_lattice(small_catalogs):
     for cat in small_catalogs.values():
         for entry in cat.entries:
-            if not (entry.commutative and entry.bound is not None):
+            if not (entry.commutative and entry.algebra.bound is not None):
                 continue
             alg = entry.algebra
             els = list(alg.elements)

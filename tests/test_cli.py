@@ -687,11 +687,28 @@ def test_command_parser_matches_its_subparser(columns80, command):
     assert alone.format_usage() == full.format_usage()
 
 
-def test_build_parser_of_one_command(capsys, columns80):
-    parser = cli.build_parser("gap")
-    args = parser.parse_args(["gap", "--kind", "EM", "--max-n", "4"])
-    assert (args.fn, args.kind, args.max_n, args.jobs) == (cli.cmd_gap, "EM", 4, 1)
-    assert exit_of(capsys, parser.parse_args, ["verify", "t.tbl"])[0] == 2
+# each studied kind and the builtin equation it counts
+STUDIED_KINDS = {"emd": "EM", "dnd": "DN", "cd": "T", "pid": "E1", "id": "I"}
+
+
+def test_studied_kinds_table_drives_every_list_of_kinds(capsys, catalog3, tc_file):
+    from bck import BUILTIN_EQUATIONS, DEGREE_FUNCTIONS, spectrum
+
+    full = cli.build_parser()._subparsers._group_actions[0].choices
+
+    def kind_choices(command):
+        return next(tuple(a.choices) for a in full[command]._actions if a.dest == "kind")
+
+    kinds = tuple(STUDIED_KINDS)
+    assert tuple(DEGREE_FUNCTIONS) == kinds
+    assert tuple(catalog3.entries[0].degrees) == kinds
+    assert kind_choices("degree") == kind_choices("spectrum") == kinds
+    for kind, name in STUDIED_KINDS.items():
+        code, rep = run_json(capsys, "degree", tc_file, "--kind", kind)
+        assert code == 0 and rep["results"]["equation"] == BUILTIN_EQUATIONS[name], kind
+    with pytest.raises(ValueError) as exc:
+        spectrum(catalog3, "xx")
+    assert str(exc.value) == "kind must be one of ('emd', 'dnd', 'cd', 'pid', 'id'), got 'xx'"
 
 
 def test_import_leaves_out_pool_and_hash_modules():

@@ -144,6 +144,21 @@ def test_family_bases():
     assert family("Q", 6).table == q_algebra(6).table
 
 
+def test_closed_form_families_match_their_steps():
+    # the documented construction: a base, then n-3 unions with two() or
+    # top extensions
+    def add_two(a):
+        return bck_union(a, two())
+
+    steps = {"B": (pi, add_two), "M": (pi, iseki_extension),
+             "P": (tc, add_two), "Pprime": (tc, iseki_extension)}
+    for name, (base, step) in steps.items():
+        stepped = base()
+        for n in range(3, 65):
+            assert family(name, n) == stepped, (name, n)  # order, table and bound
+            stepped = step(stepped)
+
+
 def test_family_shapes():
     for n in (3, 4, 5, 8):
         assert len(family("B", n).atoms()) == n - 2
@@ -184,7 +199,7 @@ def test_constructions_all_validate(small_catalogs):
     for e in small_catalogs[5].entries:
         sigma = [0] + rng.sample(range(1, 5), 4)
         alg = e.algebra.relabel(sigma)
-        assert alg.bound == (None if e.bound is None else sigma[e.bound])
+        assert alg.bound == (None if e.algebra.bound is None else sigma[e.algebra.bound])
         relabeled.append(alg)
     assert any(alg.table != e.algebra.table for alg, e in zip(relabeled, small_catalogs[5].entries))
     for alg in built + relabeled:

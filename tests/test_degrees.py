@@ -195,7 +195,7 @@ def test_emd_one_iff_positive_implicative_on_bounded_commutative(small_catalogs)
     seen_both_sides = set()
     for cat in small_catalogs.values():
         for e in cat.entries:
-            if e.bound is not None and e.commutative:
+            if e.algebra.bound is not None and e.commutative:
                 assert (e.degrees["emd"] == 1) == e.positive_implicative
                 seen_both_sides.add(e.positive_implicative)
     assert seen_both_sides == {True, False}
@@ -204,7 +204,7 @@ def test_emd_one_iff_positive_implicative_on_bounded_commutative(small_catalogs)
 def test_dnd_is_one_on_bounded_commutative(small_catalogs):
     for cat in small_catalogs.values():
         for e in cat.entries:
-            if e.bound is not None and e.commutative:
+            if e.algebra.bound is not None and e.commutative:
                 assert e.degrees["dnd"] == 1
 
 

@@ -11,7 +11,7 @@ from bck import algebra as algebra_module
 from bck import enumeration
 from bck.algebra import _check_small, _stack_ok
 from bck.cli import main as cli_main
-from bck.degrees import DEGREE_EQUATION_NAMES, DEGREE_FUNCTIONS, ds_stack
+from bck.degrees import DEGREE_FUNCTIONS, DEGREE_KINDS, ds_stack
 from bck import (
     Degree,
     EnumerationLimitError,
@@ -167,7 +167,7 @@ def test_reduced_search_counts_linear_extensions(monkeypatch, small_catalogs, n,
 def test_enumerate_order_6_regression_baseline():
     cat = enumerate_algebras(6, jobs=8)
     assert len(cat) == 775
-    assert sum(1 for e in cat.entries if e.bound is not None) == 267
+    assert sum(1 for e in cat.entries if e.algebra.bound is not None) == 267
     assert sum(1 for e in cat.entries if e.commutative) == 28
     assert _burnside_sum(cat) == 78216
     assert _linear_extension_sum(cat) == 3487
@@ -355,7 +355,7 @@ def test_audit_chain_decomposition_succeeds_on_bounded_commutative(small_catalog
     checked = 0
     for cat in small_catalogs.values():
         for e in cat.entries:
-            if e.commutative and e.bound is not None:
+            if e.commutative and e.algebra.bound is not None:
                 dec = decompose_commutative(e.algebra)
                 assert math.prod(dec.chain_lengths) == e.algebra.order, (e.algebra.table, dec)
                 checked += 1
@@ -370,7 +370,7 @@ def test_catalog_persistence_round_trip(tmp_path, catalog4):
         e.algebra.table for e in catalog4.entries
     ]
     for a, b in zip(loaded.entries, catalog4.entries):
-        assert a.bound == b.bound
+        assert a.algebra.bound == b.algebra.bound
         assert a.linear == b.linear
         assert a.commutative == b.commutative
         assert {k: v for k, v in a.degrees.items()} == {k: v for k, v in b.degrees.items()}
@@ -551,9 +551,8 @@ def test_stacked_flags_and_degrees_agree_with_per_algebra(catalogs_1_to_6):
     for cat in catalogs_1_to_6.values():
         for e in cat.entries:
             a = e.algebra
-            assert (e.bound, e.linear, e.commutative, e.positive_implicative, e.implicative) == (
-                a.bound, a.is_linear(), a.is_commutative(), a.is_positive_implicative(),
-                a.is_implicative(),
+            assert (e.linear, e.commutative, e.positive_implicative, e.implicative) == (
+                a.is_linear(), a.is_commutative(), a.is_positive_implicative(), a.is_implicative(),
             )
             for kind, fn in DEGREE_FUNCTIONS.items():
                 d = e.degrees[kind]
@@ -569,7 +568,7 @@ def test_stacked_degrees_in_blocks(monkeypatch, catalog5):
     monkeypatch.setattr(algebra_module, "_BLOCK_CELLS", 7 * len(catalog5))
     stack = np.array([e.algebra.table for e in catalog5.entries], dtype=np.intp)
     for kind in ("cd", "pid", "id"):
-        eq = builtin(DEGREE_EQUATION_NAMES[kind])
+        eq = builtin(DEGREE_KINDS[kind].equation)
         assert ds_stack(stack, eq) == [e.degrees[kind].count for e in catalog5.entries]
     x_is_x = parse("x = x")
     assert ds_stack(stack, x_is_x) == [5] * len(catalog5)

@@ -62,6 +62,15 @@ FAMILY_DIGESTS = {
     "Pprime128": "ff9b9eea89f298072cbcc146c9cf060b669b1249f636f843691cfd0bd69f89f5",
 }
 
+# B, M, P and P' at n = 1024, taken while they were still built by their
+# n-3 unions with two() or top extensions, one step at a time
+STEPPED_FAMILY_DIGESTS = {
+    "B": "59fc23daa3bb5cfcf0911f32a78a9a8968ab5be6700b1712f662a70fad4a1581",
+    "M": "ffe339e217ee33b54eb53b67e3f58debf1b80821d65b6f59dd9be31aaf2c8487",
+    "P": "0db31691b3c951247ee07ac2bbf8bc89dfa9bb3c3fa63b922ba34c361aaaf76d",
+    "Pprime": "78cffdefa23c1f07ecdc9d3bd8545155158cf0c9c0fe757a877093c56f78a01c",
+}
+
 # (operation, operands) as in perfbench/workloads.py, without relabeling
 CONSTRUCTIONS = (
     ("union", ("M", 20), ("C", 30)),
@@ -103,6 +112,11 @@ def _digest(algebra) -> str:
 def test_family_tables_are_byte_identical(name):
     for n in FAMILY_SIZES:
         assert _digest(family(name, n)) == FAMILY_DIGESTS[f"{name}{n}"], (name, n)
+
+
+@pytest.mark.parametrize("name", STEPPED_FAMILY_DIGESTS)
+def test_stepped_families_at_1024_are_byte_identical(name):
+    assert _digest(family(name, 1024)) == STEPPED_FAMILY_DIGESTS[name]
 
 
 @pytest.mark.parametrize(

@@ -162,7 +162,7 @@ def test_eval_derived_ops_match_algebra_methods(small_catalogs):
                     env = {"x": a, "y": b}
                     assert eval_term(alg, Meet(x, y), env) == alg.meet(a, b)
                     assert eval_term(alg, BDot(x, y), env) == alg.op(a, b)
-                    if entry.bound is not None:
+                    if alg.bound is not None:
                         assert eval_term(alg, Neg(x), env) == alg.neg(a)
                         assert eval_term(alg, Join(x, y), env) == alg.join(a, b)
 
