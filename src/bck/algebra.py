@@ -16,6 +16,9 @@ Each algebra holds its table as one read-only intp array, made once where
 the table enters (the shape check, or a constructor); every layer reads it.
 Large tables are checked by BCK1's own blocked kernel and, for the other
 classes, by the gather kernel :func:`grid_masks`, which also serves degrees.
+The BCK1 kernel skips the triples with x*y = 0 of a table whose row 0 is
+zero: there ((x*y)*(x*z))*(z*y) = (0*(x*z))*(z*y) = 0, so none of them is
+a witness, and it still reports the lexicographically first one.
 """
 
 from __future__ import annotations
@@ -237,25 +240,41 @@ def _axiom_report(t: np.ndarray) -> AxiomReport:
 def _bck1_witness(t: np.ndarray) -> tuple[int, int, int] | None:
     """The first (x, y, z) in row-major order with ((x*y)*(x*z))*(z*y) != 0."""
     n = len(t)
-    for lo, hit in _bck1_blocks(t[None]):
+    for lo, pairs, hit in _bck1_blocks(t[None]):
         if hit.any():
-            x, yz = divmod(int(hit.argmax()), n * n)
-            return (lo + x, *divmod(yz, n))
+            p, z = divmod(int(hit.argmax()), n)
+            x, y = divmod(int(pairs[p]), n)
+            return (lo + x, y, z)
     return None
 
 
 def _bck1_blocks(stack: np.ndarray):
     """BCK1 over a (k, n, n) stack of tables, in ascending blocks of
-    (table, x) rows. Yields ``(lo, hit)``: ``hit[r, y, z]`` is whether
-    ((x*y)*(x*z))*(z*y) != 0 in row ``lo + r``, which is x = (lo + r) % n of
-    table (lo + r) // n. ``hit`` is a buffer the next block overwrites.
+    (table, x) rows. Yields ``(lo, pairs, hit)`` per block: ``hit[p, z]``
+    is whether ((x*y)*(x*z))*(z*y) != 0 at the block's p-th (x, y) pair,
+    which is y = pairs[p] % n in row r = lo + pairs[p] // n, that is x =
+    r % n of table r // n. ``pairs`` ascends, so a block's first hit in
+    row-major order is its lexicographically first witness. ``hit`` is a
+    buffer the next block overwrites.
+
+    The pairs with x*y = 0 of a table whose row 0 is zero are skipped:
+    there ((x*y)*(x*z))*(z*y) = (0*(x*z))*(z*y) = 0*(z*y) = 0, so they
+    hold no witness and the first witness is the same. The blocks are
+    ``rows`` rows, whose buffers hold ``rows * n`` pairs. A block that
+    skipping would leave with more than three quarters of its pairs runs
+    whole; otherwise the blocks that follow join it as long as its pairs
+    left fit the buffers. So a table with few zeros (B, P, Q) runs as
+    broadcast rows, and one with about half (the chains C and D, M, P')
+    on about half as many triples, in about half as many blocks.
 
     Each block takes four flat steps into buffers made once: (x*y)*n +
     x*z from the stack scaled by n and offset by n^2 per table, a take of
     ((x*y)*(x*z))*n from it (offset too), plus z*y, then a take from the
     nonzero bytes of the stack. Every index is in range; ``mode="clip"``
-    spares a copy. A block's z*y is its table's transposed table, or, in a
-    block that spans tables, a gather of them.
+    spares a copy. In a whole block x*z and z*y are broadcast rows of its
+    table and its transposed table (in a block that spans tables, a
+    gather of them); a block of pairs first takes each pair's row of x*z,
+    and then of z*y, into the same buffers.
     """
     k, n, _ = stack.shape
     offsets = np.arange(0, k * n * n, n * n).reshape(k, 1, 1)
@@ -263,18 +282,50 @@ def _bck1_blocks(stack: np.ndarray):
     rows_of, flat = stack.reshape(k * n, n), scaled.ravel()
     transposed = np.ascontiguousarray(stack.transpose(0, 2, 1))  # transposed[i, y, z] = z*y
     nonzero = (stack != 0).ravel()
+    keep = nonzero  # the pairs evaluated: x*y != 0, or any in a table with 0*y != 0
+    if np.count_nonzero(stack[:, 0]):
+        dense = stack[:, 0].any(axis=1).reshape(k, 1)
+        keep = (nonzero.reshape(k, n * n) | dense).ravel()
     rows = max(1, min(k * n, _BCK1_BLOCK_CELLS // n**2))
+    kept = np.add.reduceat(keep, np.arange(0, k * n * n, rows * n), dtype=np.intp).tolist()
     index, value = np.empty((2, rows, n, n), np.intp)
     hit = np.empty((rows, n, n), bool)
-    for lo in range(0, k * n, rows):
+    # the same buffers, one (x, y) pair a row
+    index2, value2, hit2 = index.reshape(-1, n), value.reshape(-1, n), hit.reshape(-1, n)
+    every = np.arange(rows * n)
+    j = 0
+    while j < len(kept):
+        lo, count = j * rows, kept[j]
+        j += 1
         hi = min(lo + rows, k * n)
-        i, v, h = index[: hi - lo], value[: hi - lo], hit[: hi - lo]  # short in the last block
-        np.add(scaled[lo:hi, :, None], rows_of[lo:hi, None, :], out=i)
-        np.take(flat, i, out=v, mode="clip")
         first, last = lo // n, (hi - 1) // n
-        v += transposed[first] if first == last else transposed[np.arange(lo, hi) // n]
+        if 4 * count > 3 * (hi - lo) * n:
+            i, v, h = index[: hi - lo], value[: hi - lo], hit[: hi - lo]  # short in the last block
+            np.add(scaled[lo:hi, :, None], rows_of[lo:hi, None, :], out=i)
+            np.take(flat, i, out=v, mode="clip")
+            v += transposed[first] if first == last else transposed[np.arange(lo, hi) // n]
+            np.take(nonzero, v, out=h, mode="clip")
+            yield lo, every[: (hi - lo) * n], hit2[: (hi - lo) * n]
+            continue
+        while j < len(kept) and count + kept[j] <= rows * n:
+            count += kept[j]
+            j += 1
+        hi = min(j * rows, k * n)
+        last = (hi - 1) // n
+        pairs = np.flatnonzero(keep[lo * n : hi * n])
+        i, v, h = index2[:count], value2[:count], hit2[:count]
+        at, y = np.divmod(pairs, n)
+        at += lo  # the row of each pair
+        np.take(rows_of, at, axis=0, out=v, mode="clip")  # x*z
+        np.add(flat[lo * n : hi * n].take(pairs)[:, None], v, out=i)
+        np.take(flat, i, out=v, mode="clip")
+        if first == last:
+            np.take(transposed[first], y, axis=0, out=i, mode="clip")
+        else:
+            np.take(transposed.reshape(k * n, n), at - at % n + y, axis=0, out=i, mode="clip")
+        v += i
         np.take(nonzero, v, out=h, mode="clip")
-        yield lo, h
+        yield lo, pairs, h
 
 
 def _stack_ok(stack: np.ndarray) -> np.ndarray:
@@ -284,8 +335,9 @@ def _stack_ok(stack: np.ndarray) -> np.ndarray:
     kernel. Agrees with ``_check_small``'s verdict table by table."""
     k, n = len(stack), stack.shape[-1]
     bad = np.zeros(k * n, bool)
-    for lo, hit in _bck1_blocks(stack):
-        hit.reshape(len(hit), -1).any(axis=1, out=bad[lo : lo + len(hit)])
+    for lo, pairs, hit in _bck1_blocks(stack):
+        if hit.any():
+            bad[lo + pairs[hit.any(axis=1)] // n] = True
     bad = bad.reshape(k, n).any(axis=1)
     for _, arity, fails in _AXIOM_FAILURES:
         for _, m in grid_masks(stack, arity, lambda s, *args: fails(_Tables(s, args), *args)):

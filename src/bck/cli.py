@@ -202,26 +202,22 @@ def cmd_enumerate(args) -> int:
     catalog = enumerate_algebras(args.order, jobs=args.jobs, max_nodes=args.max_nodes)
     if args.out:
         save_catalog(catalog, args.out)
-    results = {
-        "order": args.order,
-        "count": len(catalog),
-        "algebras": [
+    if args.format == "json":  # only the JSON report prints the degrees
+        algebras = [
             {"table": [list(row) for row in e.algebra.table], **e.to_json()}
             for e in catalog.entries
-        ],
-    }
-    out = {
-        "command": "enumerate",
-        "inputs": {"order": args.order, "out": args.out},
-        "results": results,
-    }
+        ]
+        results = {"order": args.order, "count": len(catalog), "algebras": algebras}
+        inputs = {"order": args.order, "out": args.out}
+        _emit(args, {"command": "enumerate", "inputs": inputs, "results": results}, [])
+        return 0
     lines = [f"order {args.order}: {len(catalog)} algebras up to isomorphism"]
-    for rec in results["algebras"]:
-        flags = ["bounded" if rec["bound"] is not None else "unbounded"]
-        flags += [key for key in _FLAGS if rec[key]]
-        row = " ".join(",".join(str(v) for v in r) for r in rec["table"])
+    for e in catalog.entries:
+        flags = ["bounded" if e.algebra.bound is not None else "unbounded"]
+        flags += [key for key in _FLAGS if getattr(e, key)]
+        row = " ".join(",".join(str(v) for v in r) for r in e.algebra.table)
         lines.append(f"  [{row}] {' '.join(flags)}")
-    _emit(args, out, lines)
+    _emit(args, {}, lines)
     return 0
 
 

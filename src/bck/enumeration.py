@@ -69,6 +69,10 @@ from .degrees import (
 )
 
 PRACTICAL_MAX_ORDER = 6
+# Lowest order whose catalog search runs in a process pool when jobs > 1:
+# below it the pool's start-up costs more than it saves (at order 5, about
+# 30 ms more than the serial search with 2 workers).
+_POOL_MIN_ORDER = 6
 
 
 class EnumerationLimitError(RuntimeError):
@@ -346,6 +350,8 @@ def enumerate_algebras(n: int, jobs: int = 1, max_nodes: int | None = None) -> C
     """Backtracking enumeration of all order-n BCK-algebras up to
     isomorphism. Identical output for any ``jobs`` count; ``max_nodes``
     caps value placements per search task and aborts loudly when exceeded.
+    Below order 6 the search runs serially whatever ``jobs`` is, and a pool
+    starts no more workers than there are search tasks.
 
     The search completes only tables in which x*y = 0 implies x <= y. Every
     class has such a labeling, since x <= y iff x*y = 0 is a partial order
@@ -368,12 +374,12 @@ def enumerate_algebras(n: int, jobs: int = 1, max_nodes: int | None = None) -> C
         tasks.append((n, [row[:] for row in t], dict(forced), len(split), True, max_nodes))
 
     _search(n, t, forced, split, 0, snapshot, None, True)
-    if jobs <= 1:
+    if jobs <= 1 or n < _POOL_MIN_ORDER:
         results = [_complete_state(task) for task in tasks]
     else:
         import multiprocessing  # imported here: it adds about 10 ms to every start-up
 
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
             results = pool.map(_complete_state, tasks)
     canon = sorted({tab for chunk in results for tab in chunk})
     return Catalog(n, _profile(np.array(canon, dtype=np.intp)))

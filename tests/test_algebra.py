@@ -382,6 +382,29 @@ def test_small_and_vectorized_checkers_agree(monkeypatch):
         for _ in range(rng.randint(1, 3)):
             t[rng.randrange(1, n)][rng.randrange(n)] = rng.randrange(n)
         tables.append((n, t))
+    # Relabeled C, D, M and P', about half of whose pairs x*y are 0, which
+    # the BCK1 kernel skips while row 0 is zero. A corrupted cell in row 0
+    # makes it evaluate every pair. The second batch keeps the tables whose
+    # first BCK1 witness (x, y, z) follows a skipped pair (x, y - 1).
+    def relabeled(rng):
+        alg = family(rng.choice(("C", "D", "M", "Pprime")), rng.randint(10, 40))
+        sigma = [0, *rng.sample(range(1, alg.order), alg.order - 1)]
+        return alg.order, [list(row) for row in alg.relabel(sigma).table]
+
+    for _ in range(40):
+        n, t = relabeled(rng)
+        for _ in range(rng.randint(1, 2)):
+            if rng.random() < 0.25:
+                t[0][rng.randrange(n)] = rng.randrange(1, n)
+            else:
+                t[rng.randrange(1, n)][rng.randrange(n)] = rng.randrange(n)
+        tables.append((n, t))
+    for _ in range(40):
+        n, t = relabeled(rng)
+        t[rng.randrange(1, n)][rng.randrange(1, n)] = rng.randrange(n)
+        first = next(iter(_check_small(n, t)), ("", ()))
+        if first[0] == "BCK1" and 0 < first[1][1] and t[first[1][0]][first[1][1] - 1] == 0:
+            tables.append((n, t))
     # The BCK1 kernel's blocks of x: one block (20), several (64, 90), a
     # short last one (41), one row each (127, 128), a row wider than a block
     # (130). In C, D and Q, r*r = r puts the first BCK1 witness at x = r:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import multiprocessing
 import os
@@ -205,6 +206,33 @@ def test_enumerate_persists_catalog(capsys, tmp_path):
     assert code == 0
     index = json.loads((out_dir / "index.json").read_text())
     assert index["order"] == 3 and len(index["algebras"]) == 3
+
+
+# SHA-256 of `bck enumerate --order 4` in each format, taken while the text
+# listing still built every degree record
+ENUMERATE_4_DIGESTS = {
+    "text": "c2eb8691993fb519937f0577c0d596c670ea7d66ae69e88f031337af6cf6df07",
+    "json": "2edc1eef724276ed1bb0691b73e41ab977c4933b724a68cb34dbf917f9d8abf7",
+}
+
+
+def test_enumerate_counts_degrees_only_for_json(capsys, monkeypatch):
+    from bck import enumeration
+
+    kinds = []
+    real = enumeration.stack_degrees
+
+    def spy(kind, *args):
+        kinds.append(kind)
+        return real(kind, *args)
+
+    monkeypatch.setattr(enumeration, "stack_degrees", spy)
+    for fmt in ("text", "json"):
+        kinds.clear()
+        code, out, _ = run(capsys, "enumerate", "--order", "4", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_4_DIGESTS[fmt]
+        assert sorted(kinds) == ([] if fmt == "text" else ["cd", "dnd", "emd", "id", "pid"])
 
 
 def test_spectrum_reuses_catalog(capsys, tmp_path):

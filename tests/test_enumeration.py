@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import multiprocessing
 import shutil
 import tracemalloc
 
@@ -210,6 +211,37 @@ def test_enumerate_parallel_matches_serial(catalog4):
         assert [e.algebra.table for e in cat.entries] == [
             e.algebra.table for e in catalog4.entries
         ]
+
+
+class _PoolSpy:
+    """Stands in for ``multiprocessing.Pool`` and records each start."""
+
+    def __init__(self, starts):
+        self.starts, self.pool = starts, multiprocessing.Pool
+
+    def __call__(self, processes):
+        self.starts.append(processes)
+        return self.pool(processes)
+
+
+def test_enumerate_through_the_pool_matches_serial(monkeypatch, catalog4):
+    # order 4 runs serially unless the pool's lowest order is lowered; its
+    # split makes 4 search tasks, so 8 jobs start 4 workers
+    starts = []
+    monkeypatch.setattr(multiprocessing, "Pool", _PoolSpy(starts))
+    monkeypatch.setattr(enumeration, "_POOL_MIN_ORDER", 4)
+    for jobs in (2, 8):
+        cat = enumerate_algebras(4, jobs=jobs)
+        assert [e.algebra.table for e in cat.entries] == [e.algebra.table for e in catalog4.entries]
+    assert starts == [2, 4]
+
+
+def test_enumerate_order_5_starts_no_pool(monkeypatch, catalog5):
+    starts = []
+    monkeypatch.setattr(multiprocessing, "Pool", _PoolSpy(starts))
+    cat = enumerate_algebras(5, jobs=2)
+    assert [e.algebra.table for e in cat.entries] == [e.algebra.table for e in catalog5.entries]
+    assert starts == []
 
 
 def test_enumeration_node_limit_aborts():
@@ -525,9 +557,12 @@ def _check_stack_against_check_small(tables, n):
     return expected
 
 
-@pytest.mark.parametrize("block_cells", [None, 7 * 25])
+@pytest.mark.parametrize("block_cells", [None, 7 * 25, 1])
 def test_stacked_check_agrees_with_check_small(monkeypatch, catalogs_1_to_6, block_cells):
-    # 7 * 25 cells are 7 rows of an order-5 table: the BCK1 blocks split tables
+    # 7 * 25 cells are 7 rows of an order-5 table: the BCK1 blocks split
+    # tables. 1 cell makes every BCK1 block one row of x, so a block ends
+    # inside the pairs of every table, and a block of the pairs x*y != 0
+    # that the kernel keeps joins rows of several tables.
     if block_cells is not None:
         monkeypatch.setattr(algebra_module, "_BCK1_BLOCK_CELLS", block_cells)
         monkeypatch.setattr(algebra_module, "_BLOCK_CELLS", block_cells)
