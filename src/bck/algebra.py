@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -362,6 +363,86 @@ def _stack_flags(stack: np.ndarray) -> tuple[list[bool], list[bool], list[bool],
     )
 
 
+# Most cells the canonical-form kernel gathers at once: a block of tables
+# times their relabelings times the cells of one row.
+_CANON_BLOCK_CELLS = 1 << 16
+# The orders the kernel relabels all at once. Each other table goes
+# through the branch and bound. Below order 4, one call of the kernel costs
+# more than the search of a table (about 60 us against 25 us at order 3 on
+# a 2-vCPU VM). Above order 8, the relabelings of one table alone outgrow a
+# block (order 9: 8! x 7 = 282,240 cells of one row).
+_CANON_MIN_ORDER, _CANON_MAX_ORDER = 4, 8
+
+
+@functools.cache
+def _relabelings(n: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], np.ndarray]:
+    """Every relabeling fixing 0 at order n >= 3, as the canonical-form
+    kernel reads it. Relabeling p gives label i to element ``old[p, i]``,
+    and ``labels[p * n + x]`` is the label it gives x. ``rows[i - 1][p]``
+    holds the flat positions, in the original table, of the cells that land
+    on the cells (i, j), j = 1..n-1 but i, of the relabeled table, and
+    ``powers`` weights those n - 2 cells as the base-n digits of one key,
+    first cell first."""
+    perms = np.array(list(itertools.permutations(range(1, n))), dtype=np.intp)
+    old = np.concatenate([np.zeros((len(perms), 1), np.intp), perms], axis=1)
+    # the inverse permutations, by assignment: a first argsort in the
+    # process maps 256 KiB more of numpy's sort code
+    labels = np.empty_like(old)
+    labels[np.arange(len(old))[:, None], old] = np.arange(n)
+    rows = [old[:, i, None] * n + old[:, [j for j in range(1, n) if j != i]] for i in range(1, n)]
+    return old, labels.ravel(), rows, n ** np.arange(n - 3, -1, -1, dtype=np.int64)
+
+
+def _stack_canonical(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical table of each table of a (k, n, n) stack of algebras,
+    and how many relabelings reach it: :func:`canonical_table` and
+    :func:`automorphism_count` of each, by trying every relabeling at once.
+
+    Row 0, column 0 and the diagonal of an algebra are the same under every
+    relabeling, so only the n - 2 other cells of each row i >= 1 are
+    gathered, and read as the base-n digits of one int64 key. Tables
+    compare lexicographically as their rows' keys do, in order: row 1 is
+    keyed under every relabeling, and each later row only under the
+    relabelings tied for least on the rows before it, until one is left
+    per table. The tables go in blocks of at most ``_CANON_BLOCK_CELLS``
+    cells of row 1 under every relabeling, so memory does not grow with k.
+    Outside ``_CANON_MIN_ORDER``..``_CANON_MAX_ORDER``,
+    :func:`_canonical_search` takes each table.
+    """
+    k, n, _ = stack.shape
+    canon, counts = np.empty_like(stack), np.empty(k, np.intp)
+    if not _CANON_MIN_ORDER <= n <= _CANON_MAX_ORDER:
+        for i, t in enumerate(stack.tolist()):
+            canon[i], counts[i] = _canonical_search(n, t)
+        return canon, counts
+    old, labels, rows, powers = _relabelings(n)
+    perms = len(old)
+    step = max(1, _CANON_BLOCK_CELLS // (perms * (n - 2)))
+    for lo in range(0, k, step):
+        block = stack[lo : lo + step].ravel()
+        size = len(block) // (n * n)
+        tables = np.arange(size)
+        # the (table, relabeling) pairs tied for least so far, by table:
+        # at first every pair, as a (table, relabeling) grid
+        table, perm = tables[:, None], np.arange(perms)
+        for cells in rows:
+            at = block.take(cells[perm] + (table * n * n)[..., None])
+            at += (perm * n)[..., None]
+            key = (labels.take(at) @ powers).ravel()
+            table, perm = (a.ravel() for a in np.broadcast_arrays(table, perm))
+            tied = key == np.minimum.reduceat(key, np.searchsorted(table, tables))[table]
+            table, perm = table[tied], perm[tied]
+            if len(table) == size:
+                break
+        # each table under its first least relabeling
+        best = perm[np.searchsorted(table, tables)]
+        at = block.take(old[best, :, None] * n + old[best, None, :] + (tables * n * n)[:, None, None])
+        at += (best * n)[:, None, None]
+        canon[lo : lo + size] = labels.take(at)
+        counts[lo : lo + size] = np.bincount(table, minlength=size)
+    return canon, counts
+
+
 @dataclass(frozen=True)
 class BckAlgebra:
     """Immutable finite BCK-algebra.
@@ -457,7 +538,9 @@ def canonical_table(order: int, table) -> tuple[tuple[int, ...], ...]:
     branch is cut only when every relabeling it leads to is strictly
     greater than one already found, so the result is the minimum itself.
     The tests check it against a brute-force minimum on every labeled
-    order-5 algebra and on relabelings at orders 8 and 9.
+    order-5 algebra and on relabelings at orders 8 and 9, and against the
+    stacked kernel the catalog search uses (:func:`_stack_canonical`) on
+    every table that search canonicalizes at orders 1-6.
     """
     return _canonical_search(order, table)[0]
 

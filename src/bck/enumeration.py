@@ -31,10 +31,11 @@ search 94,075.
 Where the completed tables are checked: the leaf of the search only
 collects them. Each search task checks what it collected in one stacked
 pass over a (k, n, n) array (``algebra._stack_ok``, at most
-``_LEAF_CHUNK`` tables at a time), then canonicalizes the survivors in
-search order. The catalog's flags, and each degree kind when first read,
-are computed the same way, over all its tables at once; so is the check
-of a catalog that :func:`load_catalog` reads back.
+``_LEAF_CHUNK`` tables at a time), then puts the survivors in canonical
+form in one more (``algebra._stack_canonical``, which tries every
+relabeling of every table at once). The catalog's flags, and each degree
+kind when first read, are computed the same way, over all its tables at
+once; so is the check of a catalog that :func:`load_catalog` reads back.
 """
 
 from __future__ import annotations
@@ -55,9 +56,9 @@ from .algebra import (
     MalformedTableError,
     _axiom_report,
     _build_stack,
+    _stack_canonical,
     _stack_flags,
     _stack_ok,
-    canonical_table,
     from_table,
 )
 from .degrees import (
@@ -70,8 +71,9 @@ from .degrees import (
 
 PRACTICAL_MAX_ORDER = 6
 # Lowest order whose catalog search runs in a process pool when jobs > 1:
-# below it the pool's start-up costs more than it saves (at order 5, about
-# 30 ms more than the serial search with 2 workers).
+# below it the pool's start-up costs more than it saves (at order 5, a
+# median of 24 ms with 2 workers against 13 ms serially; at order 6, 0.36 s
+# against 0.54 s, on a 2-vCPU VM).
 _POOL_MIN_ORDER = 6
 
 
@@ -218,21 +220,21 @@ _LEAF_CHUNK = 4096
 
 
 def _complete_state(args):
-    # a reduced search canonicalizes what it finds; the full one does not
+    # the valid completed tables of one search task, as a (k, n, n) stack in
+    # search order; a reduced search canonicalizes them, the full one does not
     n, t, forced, start, reduced, max_nodes = args
-    found: list[tuple] = []
+    found: list[np.ndarray] = []
     pending: list[tuple] = []
     budget = None if max_nodes is None else [max_nodes, 0]
 
     def check():
         if not pending:
             return
-        # the one axiom check of the completed tables, all in one stacked
-        # pass; the survivors are kept in search order
-        ok = _stack_ok(np.array(pending, dtype=np.intp))
-        for table, valid in zip(pending, ok.tolist()):
-            if valid:
-                found.append(canonical_table(n, table) if reduced else table)
+        # the one axiom check of the completed tables, then the canonical
+        # forms of the survivors, each in one stacked pass
+        stack = np.array(pending, dtype=np.intp)
+        stack = stack[_stack_ok(stack)]
+        found.append(_stack_canonical(stack)[0] if reduced else stack)
         pending.clear()
 
     def leaf():
@@ -244,9 +246,9 @@ def _complete_state(args):
         _search(n, t, forced, _free_cells(n), start, leaf, budget, reduced)
     except EnumerationLimitError as exc:
         check()
-        raise EnumerationLimitError(exc.nodes, len(found)) from None
+        raise EnumerationLimitError(exc.nodes, sum(map(len, found))) from None
     check()
-    return found
+    return np.concatenate(found) if found else np.empty((0, n, n), np.intp)
 
 
 def enumerate_labeled_tables(n: int, max_nodes: int | None = None) -> list[tuple]:
@@ -254,7 +256,8 @@ def enumerate_labeled_tables(n: int, max_nodes: int | None = None) -> list[tuple
     reduction. Mainly a soundness oracle for the deduplicated catalog."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    return _complete_state((n, _initial_table(n), {}, 0, False, max_nodes))
+    stack = _complete_state((n, _initial_table(n), {}, 0, False, max_nodes))
+    return [tuple(map(tuple, table)) for table in stack.tolist()]
 
 
 @dataclass(frozen=True)
@@ -381,8 +384,11 @@ def enumerate_algebras(n: int, jobs: int = 1, max_nodes: int | None = None) -> C
 
         with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
             results = pool.map(_complete_state, tasks)
-    canon = sorted({tab for chunk in results for tab in chunk})
-    return Catalog(n, _profile(np.array(canon, dtype=np.intp)))
+    # the distinct canonical tables, sorted lexicographically
+    flat = np.concatenate(results).reshape(-1, n * n)
+    flat = flat[np.lexsort(flat.T[::-1])]
+    canon = flat[np.r_[True, (flat[1:] != flat[:-1]).any(axis=1)]]
+    return Catalog(n, _profile(canon.reshape(-1, n, n)))
 
 
 @dataclass(frozen=True)

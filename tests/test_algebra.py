@@ -320,6 +320,26 @@ def test_canonical_form_invariant_under_relabelings_of_c3xc3():
         assert r.canonical_form() == canon
 
 
+@pytest.mark.parametrize(
+    "alg, auts",
+    [
+        (q_algebra(7), 120),
+        (bck_union(direct_product(two(), two()), direct_product(two(), two())), 8),
+        (direct_product(two(), direct_product(two(), two())), 6),
+        (q_algebra(8), 720),
+        (direct_product(chain(3), chain(3)), 2),
+    ],
+    ids=["Q7", "C2xC2+C2xC2", "C2^3", "Q8", "C3xC3"],
+)
+def test_stacked_canonical_forms_match_the_branch_and_bound_on_symmetric_algebras(alg, auts):
+    # order 8 is the highest the kernel relabels all at once; C3xC3, of
+    # order 9, goes through the branch and bound table by table
+    tables = [r.table for r in _relabelings(alg, 6, seed=alg.order)]
+    canon, counts = algebra._stack_canonical(np.array(tables, dtype=np.intp))
+    assert [tuple(map(tuple, t)) for t in canon.tolist()] == [alg.canonical_form()] * 6
+    assert counts.tolist() == [automorphism_count(alg.order, t) for t in tables] == [auts] * 6
+
+
 def test_relabel_must_fix_zero():
     with pytest.raises(ValueError):
         pi().relabel((1, 0, 2))

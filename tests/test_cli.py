@@ -739,6 +739,13 @@ def test_studied_kinds_table_drives_every_list_of_kinds(capsys, catalog3, tc_fil
     assert str(exc.value) == "kind must be one of ('emd', 'dnd', 'cd', 'pid', 'id'), got 'xx'"
 
 
+def _fresh_python(probe):
+    # run `probe` in a new interpreter that imports this checkout's bck
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+
+
 def test_import_leaves_out_pool_and_hash_modules():
     # numpy alone imports neither, so `import bck.cli` must not either
     probe = (
@@ -749,7 +756,16 @@ def test_import_leaves_out_pool_and_hash_modules():
         "after = [m for m in ('multiprocessing', 'hashlib') if m in sys.modules]\n"
         "print(before, after)\n"
     )
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    done = _fresh_python(probe)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[] []\n", "")
+
+
+def test_import_builds_no_relabeling_tables():
+    # the canonical-form kernel makes an order's relabelings on first use
+    probe = (
+        "import bck.cli\n"
+        "from bck.algebra import _relabelings\n"
+        "print(_relabelings.cache_info().currsize)\n"
+    )
+    done = _fresh_python(probe)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")

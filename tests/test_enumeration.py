@@ -10,7 +10,7 @@ import pytest
 
 from bck import algebra as algebra_module
 from bck import enumeration
-from bck.algebra import _check_small, _stack_ok
+from bck.algebra import _CANON_BLOCK_CELLS, _check_small, _stack_canonical, _stack_ok
 from bck.cli import main as cli_main
 from bck.degrees import DEGREE_FUNCTIONS, DEGREE_KINDS, ds_stack
 from bck import (
@@ -142,14 +142,15 @@ def _zero_free_below_diagonal(table):
 
 def _reduced_tables(monkeypatch, n):
     # the labeled tables that enumerate_algebras canonicalizes, recorded
-    # through the module-level lookup of canonical_table
+    # through the module-level lookup of the canonical-form kernel: every
+    # table of every stack it receives
     seen = []
 
-    def record(order, table):
-        seen.append(table)
-        return canonical_table(order, table)
+    def record(stack):
+        seen.extend(tuple(map(tuple, t)) for t in stack.tolist())
+        return _stack_canonical(stack)
 
-    monkeypatch.setattr(enumeration, "canonical_table", record)
+    monkeypatch.setattr(enumeration, "_stack_canonical", record)
     enumerate_algebras(n)
     return seen
 
@@ -163,6 +164,62 @@ def test_reduced_search_counts_linear_extensions(monkeypatch, small_catalogs, n,
     assert _linear_extension_sum(small_catalogs[n]) == reduced
     full = [t for t in enumerate_labeled_tables(n) if _zero_free_below_diagonal(t)]
     assert sorted(tables) == sorted(full)
+
+
+@pytest.fixture(scope="module")
+def reduced_1_to_6():
+    with pytest.MonkeyPatch.context() as mp:
+        return {n: _reduced_tables(mp, n) for n in range(1, 7)}
+
+
+def _check_stacked_canonical_forms(tables, n):
+    canon, counts = _stack_canonical(np.array(tables, dtype=np.intp).reshape(-1, n, n))
+    assert [tuple(map(tuple, t)) for t in canon.tolist()] == [canonical_table(n, t) for t in tables]
+    assert counts.tolist() == [automorphism_count(n, t) for t in tables]
+
+
+def test_stacked_canonical_forms_match_the_branch_and_bound(reduced_1_to_6):
+    # every table the reduced search canonicalizes at orders 1-6
+    assert [len(t) for t in reduced_1_to_6.values()] == [1, 1, 3, 19, 205, 3487]
+    for n, tables in reduced_1_to_6.items():
+        _check_stacked_canonical_forms(tables, n)
+
+
+@pytest.mark.parametrize("block_cells", [None, 7 * 24 * 3, 1])
+def test_stacked_canonical_forms_in_small_blocks(monkeypatch, reduced_1_to_6, block_cells):
+    # the kernel itself at order 3 too, where each table has two relabelings
+    # and each row one cell to key; 7 * 24 * 3 cells are 7 order-5 tables a
+    # block, the last one short, and 1 cell makes one table a block
+    monkeypatch.setattr(algebra_module, "_CANON_MIN_ORDER", 3)
+    if block_cells is not None:
+        monkeypatch.setattr(algebra_module, "_CANON_BLOCK_CELLS", block_cells)
+    for n in (3, 4, 5):
+        _check_stacked_canonical_forms(reduced_1_to_6[n], n)
+
+
+@pytest.mark.parametrize("n, labeled", [(3, 5), (4, 67), (5, 1735), (6, 78216)])
+def test_burnside_sum_from_the_stacked_counts(catalogs_1_to_6, n, labeled):
+    # the kernel's counts of a catalog's canonical tables are their
+    # automorphism counts: (n-1)!/|Aut| labeled tables a class
+    stack = np.array([e.algebra.table for e in catalogs_1_to_6[n].entries], dtype=np.intp)
+    canon, counts = _stack_canonical(stack)
+    assert np.array_equal(canon, stack)
+    assert sum(math.factorial(n - 1) // c for c in counts.tolist()) == labeled
+
+
+def test_stacked_canonical_memory_is_bounded_by_its_blocks(reduced_1_to_6):
+    # row 1 of the 3,487 order-6 tables under all 120 relabelings alone
+    # would take 3487 * 120 * 4 * 8 B = 13 MB as one intp array
+    stack = np.array(reduced_1_to_6[6], dtype=np.intp)
+    _stack_canonical(stack[:1])  # the order's relabelings are made once, before
+    tracemalloc.start()
+    try:
+        _stack_canonical(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the canonical tables, the size of the stack, and a few arrays over one block
+    assert peak < stack.nbytes + 3 * 8 * _CANON_BLOCK_CELLS < len(stack) * 120 * 4 * 8 // 4
 
 
 def test_enumerate_order_6_regression_baseline():
