@@ -645,7 +645,12 @@ def from_table(order: int, table) -> BckAlgebra:
 
     Raises :class:`BckAxiomError` (carrying the report) if any axiom fails.
     """
-    t = _validate_shape(order, table)
+    return _checked(order, _validate_shape(order, table))
+
+
+def _checked(order: int, t: np.ndarray) -> BckAlgebra:
+    """:func:`from_table` of a table array that passed the shape check,
+    such as ``tableio.read_table`` returns; the algebra owns ``t``."""
     report = _axiom_report(t)
     if not report.ok:
         raise BckAxiomError(report)

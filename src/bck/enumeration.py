@@ -1,8 +1,17 @@
 """Exhaustive generation of all BCK-algebras of a small order up to
 isomorphism, plus catalog-wide spectrum reports and bound audits.
 
-The search fills the Cayley table cell by cell (row-major over the free
-cells; row 0, column 0, and the diagonal are forced by the axioms).
+In a BCK-algebra x*y = 0 exactly when x <= y, so an order type fixes
+every zero cell of the table. The catalog search runs one task per poset
+on 0..n-1 with least element 0, one of each isomorphism type, under a
+natural labeling (x <= y only if x <= y as integers). The posets are
+built in-repo, each from a smaller one by a new maximal element above a
+down-closed set (:func:`_posets`). A task places x*y = 0 wherever x <= y
+and fills every other cell, row-major, with a value v != 0, v <= x. Of
+each class it completes only the relabelings that keep its order that
+poset's labeling, Σ |Aut(P)|/|Aut(A)| tables for a poset P and its
+classes A: 105 at order 5, 1,013 at order 6, 12,783 at order 7.
+
 Pruning uses only theorems of the axioms, so no valid table is ever lost:
 
 - partial antisymmetry: x*y = 0 and y*x = 0 with x != y is rejected;
@@ -13,29 +22,29 @@ Pruning uses only theorems of the axioms, so no valid table is ever lost:
   to 0; the exchange identity (x*y)*z = (x*z)*y forces equal values
   across cell pairs.
 
-The catalog search also breaks label symmetry: it places no zero below
-the diagonal, so it completes only labelings that extend the BCK order
-(see :func:`enumerate_algebras`).
+The first three decide nothing in a poset task, whose zeros are given;
+the full labeled search (:func:`enumerate_labeled_tables`, the tests'
+oracle) branches on every value of every free cell and needs them all.
 
 Forced values live in a cell -> value map consulted before branching.
 Propagation covers only some of the axiom instances a placed cell takes
-part in, so it lets through completed tables that break an axiom: 111 of
-316 at order 5 and 4,387 of 7,874 at order 6. The full axiom check of
+part in, so it lets through completed tables that break an axiom: 66 of
+171 at order 5 and 1,359 of 2,372 at order 6. The full axiom check of
 every completed table rejects those; it is the one place a table is
 validated, so over-eager pruning could only lose catalogs, never corrupt
 them. The no-pruning oracles in the test suite guard against loss at
 orders 3 and 4. A ``max_nodes`` budget counts every value tried, rejected
-or not: the order-5 catalog search tries 4,840 in all, the full labeled
+or not: the order-5 catalog search tries 1,582 in all, the full labeled
 search 94,075.
 
 Where the completed tables are checked: the leaf of the search only
-collects them. Each search task checks what it collected in one stacked
-pass over a (k, n, n) array (``algebra._stack_ok``, at most
-``_LEAF_CHUNK`` tables at a time), then puts the survivors in canonical
-form in one more (``algebra._stack_canonical``, which tries every
-relabeling of every table at once). The catalog's flags, and each degree
-kind when first read, are computed the same way, over all its tables at
-once; so is the check of a catalog that :func:`load_catalog` reads back.
+collects them, across tasks. Every ``_LEAF_CHUNK`` of them, and at the
+end, they are checked in one stacked pass over a (k, n, n) array
+(``algebra._stack_ok``), and the survivors put in canonical form in one
+more (``algebra._stack_canonical``, which tries every relabeling of every
+table at once). The catalog's flags, and each degree kind when first
+read, are computed the same way, over all its tables at once; so is the
+check of a catalog that :func:`load_catalog` reads back.
 """
 
 from __future__ import annotations
@@ -56,10 +65,10 @@ from .algebra import (
     MalformedTableError,
     _axiom_report,
     _build_stack,
+    _checked,
     _stack_canonical,
     _stack_flags,
     _stack_ok,
-    from_table,
 )
 from .degrees import (
     DEGREE_KINDS,
@@ -69,11 +78,13 @@ from .degrees import (
     stack_degrees,
 )
 
-PRACTICAL_MAX_ORDER = 6
+# Order 7 takes about 4 s serially on a 2-vCPU VM; order 8 was never run.
+PRACTICAL_MAX_ORDER = 7
 # Lowest order whose catalog search runs in a process pool when jobs > 1:
-# below it the pool's start-up costs more than it saves (at order 5, a
-# median of 24 ms with 2 workers against 13 ms serially; at order 6, 0.36 s
-# against 0.54 s, on a 2-vCPU VM).
+# below it the pool's start-up costs more than it saves. On a 2-vCPU VM,
+# with 2 workers against serially: at order 6, in-process medians of 122
+# against 129 ms and `bck enumerate` medians of 394 against 384 ms, about
+# even; at order 7, 2.4 against 3.8 s.
 _POOL_MIN_ORDER = 6
 
 
@@ -84,10 +95,6 @@ class EnumerationLimitError(RuntimeError):
         )
         self.nodes = nodes
         self.found = found
-
-
-def _free_cells(n: int) -> list[tuple[int, int]]:
-    return [(x, y) for x in range(1, n) for y in range(1, n) if x != y]
 
 
 def _initial_table(n: int) -> list[list[int | None]]:
@@ -136,11 +143,10 @@ def _propagate(n, t, a, b, v, force):
     return True
 
 
-def _place(n, t, forced, a, b, v, reduced):
+def _place(n, t, forced, a, b, v):
     """Place t[a][b] = v if consistent with the pruning rules; returns the
     list of newly forced cells (for undo), or None with the state untouched
-    when the candidate is rejected. ``reduced`` also rejects a zero below
-    the diagonal, so that x*y = 0 implies x <= y."""
+    when the candidate is rejected."""
     want = forced.get((a, b))
     if want is not None and v != want:
         return None
@@ -155,9 +161,6 @@ def _place(n, t, forced, a, b, v, reduced):
     added: list[tuple[int, int]] = []
 
     def force(row, col, val) -> bool:
-        # a placed a*b = 0 comes back here as BCK2 (a, b) forcing a*b = 0
-        if reduced and val == 0 and row > col:
-            return False
         cur = t[row][col]
         if cur is not None:
             return cur == val
@@ -189,64 +192,134 @@ def _place(n, t, forced, a, b, v, reduced):
     return added
 
 
-def _search(n, t, forced, cells, start, leaf, budget, reduced):
-    """Depth-first fill of ``cells`` from index ``start``: place each
-    consistent value, recurse, undo. ``leaf()`` runs at every consistent
-    fill of all of ``cells``, with the state in ``t`` and ``forced``.
-    ``budget`` is None for unlimited, or a list [values left to try,
-    placements accepted]. ``reduced`` is passed on to :func:`_place`."""
+def _search(n, t, forced, cells, start, leaf, budget):
+    """Depth-first fill of ``cells``, (a, b, values) triples, from index
+    ``start``: place each consistent value of ``values`` at a*b, recurse,
+    undo. ``leaf()`` runs at every consistent fill of all of ``cells``,
+    with the state in ``t`` and ``forced``. ``budget`` is None for
+    unlimited, or a list [values left to try, placements accepted]."""
     if start == len(cells):
         leaf()
         return
-    a, b = cells[start]
-    for v in range(n):
+    a, b, values = cells[start]
+    for v in values:
         if budget is not None:
             budget[0] -= 1
             if budget[0] < 0:
                 raise EnumerationLimitError(budget[1], 0)
-        added = _place(n, t, forced, a, b, v, reduced)
+        added = _place(n, t, forced, a, b, v)
         if added is None:
             continue
         if budget is not None:
             budget[1] += 1
-        _search(n, t, forced, cells, start + 1, leaf, budget, reduced)
+        _search(n, t, forced, cells, start + 1, leaf, budget)
         for cell in added:
             del forced[cell]
         t[a][b] = None
 
 
-# Most completed tables a search task holds before it checks them.
+def _down_sets(down: tuple[int, ...]) -> list[int]:
+    """The down-closed sets holding 0 of a naturally labeled poset, as
+    bitmasks; ``down[x]`` is the bitmask of the elements <= x. Everything
+    below x has a smaller label, so x may join a set once all of it is in."""
+    sets = [1]
+    for x in range(1, len(down)):
+        below = down[x] & ~(1 << x)
+        sets += [s | 1 << x for s in sets if not below & ~s]
+    return sets
+
+
+def _posets(n: int, budget) -> list[tuple[int, ...]]:
+    """The posets on 0..n-1 with least element 0, one of each isomorphism
+    type, each naturally labeled (x <= y only if x <= y as integers), as
+    tuples of down-set bitmasks.
+
+    Each poset on k + 1 elements is one on k elements with a new maximal
+    element k above a down-closed set. Of the isomorphic ones, the first
+    built is kept: two posets are isomorphic exactly when their algebras
+    x*y = 0 if x <= y, else x, have the same canonical table. ``budget``,
+    as in :func:`_search`, is charged one value for each poset built."""
+    level = [(1,)]
+    for k in range(1, n):
+        built = []
+        for down in level:
+            for s in _down_sets(down):
+                if budget is not None:
+                    budget[0] -= 1
+                    if budget[0] < 0:
+                        raise EnumerationLimitError(budget[1], 0)
+                    budget[1] += 1
+                built.append(down + (s | 1 << k,))
+        elements = np.arange(k + 1)
+        below = np.array(built)[:, None, :] >> elements[:, None] & 1  # [i, x, y]: x <= y
+        canon = _stack_canonical(np.where(below == 1, 0, elements[:, None]))[0]
+        first = {}
+        for i, table in enumerate(canon):
+            first.setdefault(table.tobytes(), i)
+        level = [built[i] for i in first.values()]
+    return level
+
+
+def _poset_task(down: tuple[int, ...]):
+    """The search task of one naturally labeled poset: the table with the
+    zeros the order fixes, x*y = 0 where x <= y, and the cells left, x*y
+    with x not <= y, each with the values v != 0, v <= x it may take."""
+    n = len(down)
+    t = _initial_table(n)
+    cells = []
+    for x in range(1, n):
+        values = [v for v in range(1, n) if down[x] >> v & 1]
+        for y in range(1, n):
+            if x == y:
+                continue
+            if down[y] >> x & 1:
+                t[x][y] = 0
+            else:
+                cells.append((x, y, values))
+    return t, cells
+
+
+# Most completed tables the search holds before it checks them.
 _LEAF_CHUNK = 4096
 
 
-def _complete_state(args):
-    # the valid completed tables of one search task, as a (k, n, n) stack in
-    # search order; a reduced search canonicalizes them, the full one does not
-    n, t, forced, start, reduced, max_nodes = args
+def _complete(args):
+    # the valid completed tables of search tasks run one after another, as a
+    # (k, n, n) stack in search order; canonicalized when ``canonical`` is
+    # set. Each task gets its own budget of ``max_nodes`` values.
+    n, tasks, canonical, max_nodes = args
     found: list[np.ndarray] = []
+    verdicts: list[np.ndarray] = []
     pending: list[tuple] = []
-    budget = None if max_nodes is None else [max_nodes, 0]
 
     def check():
         if not pending:
             return
         # the one axiom check of the completed tables, then the canonical
-        # forms of the survivors, each in one stacked pass
+        # forms of the survivors, each in one stacked pass over a chunk
+        # that may span tasks
         stack = np.array(pending, dtype=np.intp)
-        stack = stack[_stack_ok(stack)]
-        found.append(_stack_canonical(stack)[0] if reduced else stack)
+        ok = _stack_ok(stack)
+        verdicts.append(ok)
+        found.append(_stack_canonical(stack[ok])[0] if canonical else stack[ok])
         pending.clear()
 
-    def leaf():
-        pending.append(tuple(map(tuple, t)))
-        if len(pending) == _LEAF_CHUNK:
-            check()
+    for t, cells in tasks:
 
-    try:
-        _search(n, t, forced, _free_cells(n), start, leaf, budget, reduced)
-    except EnumerationLimitError as exc:
-        check()
-        raise EnumerationLimitError(exc.nodes, sum(map(len, found))) from None
+        def leaf(t=t):
+            pending.append(tuple(map(tuple, t)))
+            if len(pending) == _LEAF_CHUNK:
+                check()
+
+        first = sum(map(len, verdicts)) + len(pending)
+        budget = None if max_nodes is None else [max_nodes, 0]
+        try:
+            _search(n, t, {}, cells, 0, leaf, budget)
+        except EnumerationLimitError as exc:
+            # reported: the valid tables of the task that ran out
+            check()
+            valid = np.concatenate([np.empty(0, bool), *verdicts])[first:]
+            raise EnumerationLimitError(exc.nodes, int(valid.sum())) from None
     check()
     return np.concatenate(found) if found else np.empty((0, n, n), np.intp)
 
@@ -256,7 +329,8 @@ def enumerate_labeled_tables(n: int, max_nodes: int | None = None) -> list[tuple
     reduction. Mainly a soundness oracle for the deduplicated catalog."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    stack = _complete_state((n, _initial_table(n), {}, 0, False, max_nodes))
+    cells = [(x, y, range(n)) for x in range(1, n) for y in range(1, n) if x != y]
+    stack = _complete((n, [(_initial_table(n), cells)], False, max_nodes))
     return [tuple(map(tuple, table)) for table in stack.tolist()]
 
 
@@ -352,13 +426,14 @@ def _profile(stack: np.ndarray) -> tuple[CatalogEntry, ...]:
 def enumerate_algebras(n: int, jobs: int = 1, max_nodes: int | None = None) -> Catalog:
     """Backtracking enumeration of all order-n BCK-algebras up to
     isomorphism. Identical output for any ``jobs`` count; ``max_nodes``
-    caps value placements per search task and aborts loudly when exceeded.
-    Below order 6 the search runs serially whatever ``jobs`` is, and a pool
-    starts no more workers than there are search tasks.
+    caps value placements per search task, and the posets built before the
+    search, and aborts loudly when exceeded. Below order 6 the search runs
+    serially whatever ``jobs`` is, and a pool starts no more workers than
+    there are search tasks.
 
-    The search completes only tables in which x*y = 0 implies x <= y. Every
-    class has such a labeling, since x <= y iff x*y = 0 is a partial order
-    with least element 0 and its linear extensions fixing 0 are relabelings.
+    x <= y iff x*y = 0 is a partial order with least element 0, so each
+    class is found by the search task of its order: one task per poset on
+    n elements with least element 0, under one natural labeling of it.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
@@ -369,23 +444,19 @@ def enumerate_algebras(n: int, jobs: int = 1, max_nodes: int | None = None) -> C
             RuntimeWarning,
             stacklevel=2,
         )
-    # one search task per consistent fill of the first two free cells
-    t, forced, split = _initial_table(n), {}, _free_cells(n)[:2]
-    tasks = []
-
-    def snapshot():
-        tasks.append((n, [row[:] for row in t], dict(forced), len(split), True, max_nodes))
-
-    _search(n, t, forced, split, 0, snapshot, None, True)
+    budget = None if max_nodes is None else [max_nodes, 0]
+    tasks = [_poset_task(down) for down in _posets(n, budget)]
     if jobs <= 1 or n < _POOL_MIN_ORDER:
-        results = [_complete_state(task) for task in tasks]
+        canon = _complete((n, tasks, True, max_nodes))
     else:
         import multiprocessing  # imported here: it adds about 10 ms to every start-up
 
-        with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
-            results = pool.map(_complete_state, tasks)
+        workers = min(jobs, len(tasks))
+        groups = [(n, tasks[i::workers], True, max_nodes) for i in range(workers)]
+        with multiprocessing.Pool(workers) as pool:
+            canon = np.concatenate(pool.map(_complete, groups))
     # the distinct canonical tables, sorted lexicographically
-    flat = np.concatenate(results).reshape(-1, n * n)
+    flat = canon.reshape(-1, n * n)
     flat = flat[np.lexsort(flat.T[::-1])]
     canon = flat[np.r_[True, (flat[1:] != flat[:-1]).any(axis=1)]]
     return Catalog(n, _profile(canon.reshape(-1, n, n)))
@@ -624,7 +695,7 @@ def load_catalog(dirpath) -> Catalog:
         for rec in index["algebras"]:
             n, table = tableio.read_table(os.path.join(dirpath, rec["file"]))
             if n != order:
-                from_table(n, table)  # its axioms come before its order, as when loaded alone
+                _checked(n, table)  # its axioms come before its order, as when loaded alone
                 raise MalformedTableError(
                     f"{rec['file']} has order {n}, but the catalog index says {order}"
                 )

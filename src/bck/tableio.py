@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import BckAlgebra, _validate_shape, from_table
+from .algebra import BckAlgebra, _checked, _validate_shape
 
 
 # Largest order a table file, `family --n`, `gap --max-n` or `--order` may
@@ -138,7 +138,7 @@ def read_table(path) -> tuple[int, np.ndarray]:
 
 def load_algebra(path) -> BckAlgebra:
     """Read and validate a table file; axiom failures propagate."""
-    return from_table(*read_table(path))
+    return _checked(*read_table(path))
 
 
 def dump_algebra(path, algebra: BckAlgebra) -> None:

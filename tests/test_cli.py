@@ -388,6 +388,15 @@ def test_enumeration_out_of_max_nodes_exits_1(capsys):
     assert re.fullmatch(r"error: enumeration aborted after \d+ placements with \d+ tables completed\n", err)
 
 
+def test_max_nodes_stops_a_huge_order_at_once(capsys):
+    # the posets the search runs on are built level by level and charged to
+    # the same budget: order 40 stops among the posets on 4 elements
+    with pytest.warns(RuntimeWarning, match="exceeds the practical ceiling"):
+        code, out, err = run(capsys, "enumerate", "--order", "40", "--max-nodes", "10")
+    assert (code, out) == (1, "")
+    assert err == "error: enumeration aborted after 10 placements with 0 tables completed\n"
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_max_nodes_below_one_is_usage_error(capsys, monkeypatch, value):
     def no_search(*args, **kwargs):

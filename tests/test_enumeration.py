@@ -71,7 +71,7 @@ def test_enumerate_order_3_against_no_pruning_oracle(catalog3):
     assert sorted(classes) == [e.algebra.table for e in catalog3.entries]
 
 
-def test_enumerate_order_4_against_no_pruning_oracle(monkeypatch, catalog4):
+def test_enumerate_order_4_against_no_pruning_oracle(catalog4):
     # every filling of the six free cells of a 4x4 table (row 0, column 0
     # and the diagonal are fixed by the axioms), checked in full; nothing
     # of the search's pruning is used
@@ -88,8 +88,15 @@ def test_enumerate_order_4_against_no_pruning_oracle(monkeypatch, catalog4):
     assert sorted({canonical_table(4, t) for t in valid}) == [
         e.algebra.table for e in catalog4.entries
     ]
-    reduced = [t for t in valid if _zero_free_below_diagonal(t)]
-    assert sorted(_reduced_tables(monkeypatch, 4)) == sorted(reduced)
+    # each poset task completes exactly the valid fillings whose zeros are
+    # its poset's order, x*y = 0 iff x <= y, under its fixed labeling
+    tasks = 0
+    for down in enumeration._posets(4, None):
+        order = [[bool(down[y] >> x & 1) for y in range(4)] for x in range(4)]
+        mine = [t for t in valid if [[v == 0 for v in row] for row in t] == order]
+        assert sorted(_task_tables(down)) == sorted(mine)
+        tasks += len(mine)
+    assert tasks == 15
 
 
 def test_enumerate_counts_regression_baselines(catalog4, catalog5):
@@ -140,36 +147,108 @@ def _zero_free_below_diagonal(table):
     return all(table[x][y] != 0 for x in range(len(table)) for y in range(1, x))
 
 
-def _reduced_tables(monkeypatch, n):
-    # the labeled tables that enumerate_algebras canonicalizes, recorded
-    # through the module-level lookup of the canonical-form kernel: every
-    # table of every stack it receives
-    seen = []
-
-    def record(stack):
-        seen.extend(tuple(map(tuple, t)) for t in stack.tolist())
-        return _stack_canonical(stack)
-
-    monkeypatch.setattr(enumeration, "_stack_canonical", record)
-    enumerate_algebras(n)
-    return seen
+def _task_tables(down):
+    # the valid tables one poset's search task completes, in search order
+    n = len(down)
+    stack = enumeration._complete((n, [enumeration._poset_task(down)], False, None))
+    return [tuple(map(tuple, t)) for t in stack.tolist()]
 
 
-@pytest.mark.parametrize("n, reduced", [(3, 3), (4, 19), (5, 205)])
-def test_reduced_search_counts_linear_extensions(monkeypatch, small_catalogs, n, reduced):
-    # the reduced search's tables are exactly the full search's tables with
-    # no zero below the diagonal, as many as the linear-extension sum says
-    tables = _reduced_tables(monkeypatch, n)
-    assert len(tables) == len(set(tables)) == reduced
-    assert _linear_extension_sum(small_catalogs[n]) == reduced
+def _relabelings(n):
+    # every relabeling fixing 0, as rows old[p] (the element given label i
+    # is old[p][i]) and their inverses
+    old = np.array([(0, *p) for p in itertools.permutations(range(1, n))], dtype=np.intp)
+    return old, np.argsort(old, axis=1)
+
+
+def _orders(below):
+    # brute force over every relabeling of each (n, n) order matrix of a
+    # stack (below[x, y]: x <= y): its least relabeled matrix, as bytes, and
+    # how many relabelings reach it, which is its automorphism count
+    old, _ = _relabelings(below.shape[-1])
+    out = []
+    for le in below:
+        keys = np.packbits(le[old[:, :, None], old[:, None, :]].reshape(len(old), -1), axis=1)
+        keys = [k.tobytes() for k in keys]
+        out.append((min(keys), keys.count(min(keys))))
+    return out
+
+
+def _poset_matrices(posets):
+    n = len(posets[0])
+    return np.array([[[down[y] >> x & 1 for y in range(n)] for x in range(n)] for down in posets], bool)
+
+
+@pytest.mark.parametrize("n, total", [(3, 3), (4, 15), (5, 105), (6, 1013)])
+def test_poset_tasks_count_the_labelings_of_their_classes(catalogs_1_to_6, n, total):
+    # a class A whose order is isomorphic to the poset P has |Aut(P)| ways to
+    # carry its order onto P's fixed labeling, |Aut(A)| of them to each
+    # table; so P's task completes the sum of |Aut(P)|/|Aut(A)| over them
+    posets = enumeration._posets(n, None)
+    keys = {key: (i, aut) for i, (key, aut) in enumerate(_orders(_poset_matrices(posets)))}
+    assert len(keys) == len(posets)
+    expected = [0] * len(posets)
+    cat = catalogs_1_to_6[n]
+    tables = np.array([e.algebra.table for e in cat.entries])
+    for entry, (key, _) in zip(cat.entries, _orders(tables == 0)):
+        i, poset_aut = keys[key]
+        aut = automorphism_count(n, entry.algebra.table)
+        assert poset_aut % aut == 0
+        expected[i] += poset_aut // aut
+    found = [_task_tables(down) for down in posets]
+    assert [len(tables) for tables in found] == expected
+    assert sum(expected) == total
+    # and as many distinct classes as the catalog holds
+    assert len({canonical_table(n, t) for tables in found for t in tables}) == len(cat)
+
+
+def test_posets_one_of_each_type_naturally_labeled():
+    counts = []
+    for n in range(1, 8):
+        posets = enumeration._posets(n, None)
+        counts.append(len(posets))
+        for down in posets:
+            assert down[0] == 1 and all(down[y] & 1 for y in range(n))
+            assert all(down[y] >> y & 1 and down[y] < 2 << y for y in range(n))  # natural
+            # reflexive, antisymmetric and transitive
+            for y in range(n):
+                for x in range(n):
+                    if down[y] >> x & 1:
+                        assert x == y or not down[x] >> y & 1
+                        assert down[x] & ~down[y] == 0
+        if n <= 6:
+            keys = [key for key, _ in _orders(_poset_matrices(posets))]
+            assert len(set(keys)) == len(keys)
+    # posets on 0 to 6 points, with the least element 0 added
+    assert counts == [1, 1, 2, 5, 16, 63, 318]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_linear_extension_relabelings_are_the_oracles_tables(small_catalogs, reduced_1_to_6, n):
+    # the relabelings derived from the catalog are the full search's tables
+    # with no zero below the diagonal, as many as the linear-extension sum
     full = [t for t in enumerate_labeled_tables(n) if _zero_free_below_diagonal(t)]
-    assert sorted(tables) == sorted(full)
+    assert sorted(full) == reduced_1_to_6[n]
+    assert _linear_extension_sum(small_catalogs[n]) == len(full)
 
 
 @pytest.fixture(scope="module")
-def reduced_1_to_6():
-    with pytest.MonkeyPatch.context() as mp:
-        return {n: _reduced_tables(mp, n) for n in range(1, 7)}
+def reduced_1_to_6(catalogs_1_to_6):
+    # every relabeling of every catalog class with no zero below the
+    # diagonal: the relabelings that extend its order, e(P)/|Aut| a class
+    out = {}
+    for n, cat in catalogs_1_to_6.items():
+        old, labels = _relabelings(n)
+        below = np.tril(np.ones((n, n), bool), -1)
+        below[:, 0] = False
+        found = set()
+        for e in cat.entries:
+            cells = e.algebra.array[old[:, :, None], old[:, None, :]].reshape(len(old), -1)
+            relabeled = np.take_along_axis(labels, cells, axis=1).reshape(-1, n, n)
+            kept = relabeled[(relabeled[:, below] != 0).all(axis=1)]
+            found.update(tuple(map(tuple, t)) for t in kept.tolist())
+        out[n] = sorted(found)
+    return out
 
 
 def _check_stacked_canonical_forms(tables, n):
@@ -179,7 +258,7 @@ def _check_stacked_canonical_forms(tables, n):
 
 
 def test_stacked_canonical_forms_match_the_branch_and_bound(reduced_1_to_6):
-    # every table the reduced search canonicalizes at orders 1-6
+    # every relabeling of the catalogs of orders 1-6 that extends its order
     assert [len(t) for t in reduced_1_to_6.values()] == [1, 1, 3, 19, 205, 3487]
     for n, tables in reduced_1_to_6.items():
         _check_stacked_canonical_forms(tables, n)
@@ -282,15 +361,15 @@ class _PoolSpy:
 
 
 def test_enumerate_through_the_pool_matches_serial(monkeypatch, catalog4):
-    # order 4 runs serially unless the pool's lowest order is lowered; its
-    # split makes 4 search tasks, so 8 jobs start 4 workers
+    # order 4 runs serially unless the pool's lowest order is lowered; it
+    # has one search task per poset, 5 in all, so 8 jobs start 5 workers
     starts = []
     monkeypatch.setattr(multiprocessing, "Pool", _PoolSpy(starts))
     monkeypatch.setattr(enumeration, "_POOL_MIN_ORDER", 4)
     for jobs in (2, 8):
         cat = enumerate_algebras(4, jobs=jobs)
         assert [e.algebra.table for e in cat.entries] == [e.algebra.table for e in catalog4.entries]
-    assert starts == [2, 4]
+    assert starts == [2, 5]
 
 
 def test_enumerate_order_5_starts_no_pool(monkeypatch, catalog5):
@@ -302,18 +381,30 @@ def test_enumerate_order_5_starts_no_pool(monkeypatch, catalog5):
 
 
 def test_enumeration_node_limit_aborts():
-    # the message reports the placements accepted in the task that ran
-    # out, not the budget
-    msg = "enumeration aborted after 19 placements with 4 tables completed"
+    # the message reports the placements accepted, and the valid tables
+    # completed, in the task that ran out, not the budget
+    msg = "enumeration aborted after 39 placements with 2 tables completed"
     with pytest.raises(EnumerationLimitError, match=f"^{msg}$") as exc:
-        enumerate_algebras(5, max_nodes=50)
-    assert (exc.value.nodes, exc.value.found) == (19, 4)
+        enumerate_algebras(5, max_nodes=100)
+    assert (exc.value.nodes, exc.value.found) == (39, 2)
+
+
+def test_enumeration_node_limit_covers_the_posets():
+    # the posets on 5 elements take 38 to build, one for each candidate:
+    # each task then has a fresh budget, and a smaller one runs out before
+    # any task starts
+    enumeration._posets(5, [38, 0])
+    with pytest.raises(EnumerationLimitError, match="^enumeration aborted after 37 placements"):
+        enumeration._posets(5, [37, 0])
+    with pytest.raises(EnumerationLimitError) as exc:
+        enumerate_algebras(5, max_nodes=20)
+    assert (exc.value.nodes, exc.value.found) == (20, 0)
 
 
 def test_enumeration_warns_above_practical_ceiling():
     with pytest.warns(RuntimeWarning):
         with pytest.raises(EnumerationLimitError):
-            enumerate_algebras(7, max_nodes=10)
+            enumerate_algebras(8, max_nodes=10)
 
 
 def test_implicative_iff_commutative_and_positive_implicative(small_catalogs):
