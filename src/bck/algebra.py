@@ -14,11 +14,12 @@ The derived partial order is x <= y iff x*y = 0, and x*0 = x is a theorem
 
 Each algebra holds its table as one read-only intp array, made once where
 the table enters (the shape check, or a constructor); every layer reads it.
-Large tables are checked by BCK1's own blocked kernel and, for the other
-classes, by the gather kernel :func:`grid_masks`, which also serves degrees.
-The BCK1 kernel skips the triples with x*y = 0 of a table whose row 0 is
-zero: there ((x*y)*(x*z))*(z*y) = (0*(x*z))*(z*y) = 0, so none of them is
-a witness, and it still reports the lexicographically first one.
+A large table is checked as a stack of one, one pass per axiom class:
+BCK1 by its own blocked kernel, BCK2-BCK4 and X0 as equations by the term
+evaluator that counts degrees, and BCK5 as a mask, both on the gather
+kernel :func:`grid_masks`. The BCK1 kernel skips the triples with x*y = 0
+of a table whose row 0 is zero: there ((x*y)*(x*z))*(z*y) = 0*(z*y) = 0,
+so none of them is a witness, and it still reports the first one.
 """
 
 from __future__ import annotations
@@ -28,8 +29,11 @@ import contextlib
 import functools
 import itertools
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
+
+from .terms import UnboundedAlgebraError, holds, parse
 
 Element = int
 
@@ -48,10 +52,6 @@ class BckAxiomError(ValueError):
         ids = ", ".join(v[0] for v in report.violations)
         super().__init__(f"table is not a BCK-algebra (violates {ids})")
         self.report = report
-
-
-class UnboundedAlgebraError(ValueError):
-    """Operation requires a greatest element but the algebra has none."""
 
 
 @dataclass(frozen=True)
@@ -154,16 +154,16 @@ def grid_masks(t: np.ndarray, arity: int, mask):
     first assignment, so a block's first marked cell is also the
     lexicographically first among those not yet seen.
 
-    ``t`` may also be a stack of k tables, a (k, n, n) array (read through
-    :class:`_Tables`). Each block then spans all k tables, its mask has the
-    table axis first, and the blocks hold about ``_BLOCK_CELLS`` cells in
-    all, but at least one per table.
+    ``t`` may also be a stack of k tables, a (k, n, n) array, which
+    ``mask`` then gets as a :class:`_Tables`. Each block then spans all k
+    tables, its mask has the table axis first, and the blocks hold about
+    ``_BLOCK_CELLS`` cells in all, but at least one per table.
     """
     stacked = isinstance(t, np.ndarray) and t.ndim == 3
     n = t.shape[-1] if stacked else len(t)
     cells = max(1, _BLOCK_CELLS // max(1, len(t))) if stacked else _BLOCK_CELLS
     if n**arity <= cells:
-        yield 0, mask(t, *_axes(n, arity))
+        yield 0, mask(_Tables(t, arity) if stacked else t, *_axes(n, arity))
         return
     # the last `inner` variables span A in every block, the one before them
     # a slice of A, and any earlier ones are fixed
@@ -172,45 +172,93 @@ def grid_masks(t: np.ndarray, arity: int, mask):
         inner += 1
     step = cells // n**inner
     head, *axes = _axes(n, inner + 1)
+    tables = _Tables(t, inner + 1) if stacked else t
     for i, prefix in enumerate(itertools.product(range(n), repeat=arity - 1 - inner)):
         for lo in range(0, n, step):
-            yield (i * n + lo) * n**inner, mask(t, *prefix, head[lo : lo + step], *axes)
+            yield (i * n + lo) * n**inner, mask(tables, *prefix, head[lo : lo + step], *axes)
 
 
 class _Tables:
     """A stack of tables, a (k, n, n) array, read as one table by the masks
     of :func:`grid_masks`: ``tables[x, y]`` is x*y in every table at once,
-    with the table axis first and ``args``' grid axes after it."""
+    with the table axis first and the grid's ``dims`` axes after it."""
 
-    def __init__(self, stack: np.ndarray, args):
+    def __init__(self, stack: np.ndarray, dims: int):
         self.stack = stack
-        dims = max(map(np.ndim, args), default=0)
         self.ks = np.arange(len(stack)).reshape((-1,) + (1,) * dims)
 
     def __getitem__(self, cell):
         return self.stack[(self.ks, *cell)]
 
-    def spread(self, values, args) -> np.ndarray:
-        """``values`` over the full (table, grid) shape, which a value that
-        reads no cell lacks."""
-        return np.broadcast_to(values, np.broadcast_shapes(self.ks.shape, *map(np.shape, args)))
 
-
-def _axes(n: int, count: int) -> list[np.ndarray]:
-    # A along each of `count` broadcast dimensions
+@functools.lru_cache(maxsize=64)
+def _axes(n: int, count: int) -> tuple[np.ndarray, ...]:
+    # A along each of `count` broadcast dimensions, read-only since callers share it
     a = np.arange(n)
-    return [a.reshape((n,) + (1,) * (count - 1 - i)) for i in range(count)]
+    a.flags.writeable = False
+    return tuple(a.reshape((n,) + (1,) * (count - 1 - i)) for i in range(count))
 
 
-# Each axiom class but BCK1 as a mask of its failing assignments: BCK2-BCK4
-# and X0 are equations, BCK5 is the conjunction x*y = 0, y*x = 0, x != y.
-_AXIOM_FAILURES = (
-    ("BCK2", 2, lambda t, x, y: t[t[x, t[x, y]], y] != 0),
-    ("BCK3", 1, lambda t, x: t[x, x] != 0),
-    ("BCK4", 1, lambda t, x: t[0, x] != 0),
-    ("BCK5", 2, lambda t, x, y: (t[x, y] == 0) & (t[y, x] == 0) & (x != y)),
-    ("X0", 1, lambda t, x: t[x, 0] != x),
+def _holding_blocks(t: np.ndarray, eq, bound=None):
+    """Where ``eq`` holds: the blocks of :func:`grid_masks` over a table or a
+    stack, by the term evaluator on gathers. ``bound`` is the table's
+    greatest element, or an array of each table's; None if ``eq`` needs none."""
+
+    def holding(tables, *args):
+        stacked = isinstance(tables, _Tables)
+        b = bound.reshape(tables.ks.shape) if stacked and bound is not None else bound
+        gathers = SimpleNamespace(op=lambda x, y: tables[x, y], bound=b)
+        value = holds(gathers, eq, dict(zip(eq.vars, args)))
+        if stacked and np.ndim(value) < tables.ks.ndim:  # it read no cell: the same in every table
+            value = value & np.ones(tables.ks.shape, bool)
+        return value
+
+    return grid_masks(t, eq.arity, holding)
+
+
+# The axiom classes after BCK1, in report order: BCK2-BCK4 and X0 as
+# equations, and BCK5, which is not one, as None.
+_AXIOM_CLASSES = (
+    ("BCK2", parse("(x . (x . y)) . y = 0")),
+    ("BCK3", parse("x . x = 0")),
+    ("BCK4", parse("0 . x = 0")),
+    ("BCK5", None),
+    ("X0", parse("x . 0 = x")),
 )
+
+
+def _bck5_holds(t, x, y):  # x*y = 0 and y*x = 0 only if x = y
+    return (t[x, y] != 0) | (t[y, x] != 0) | (x == y)
+
+
+def _stack_witnesses(stack: np.ndarray):
+    """Each axiom class of a (k, n, n) stack of shape-checked tables, in
+    report order, as ``(axiom, arity, first)``: ``first[i]`` is the
+    row-major index in A^arity of table i's lexicographically first
+    witness, or n^arity if it has none. BCK1 runs on its blocked kernel
+    until every table has a witness, the others on the gather kernel."""
+    k, n = len(stack), stack.shape[-1]
+    first = np.full(k, n**3)
+    for lo, pairs, hit in _bck1_blocks(stack):
+        if hit.any():
+            p = np.flatnonzero(hit.any(axis=1))
+            # lo * n + pairs[p] indexes the pairs (table, x, y) row-major, so
+            # cells is table * n^3 plus the index of each (x, y, z) first hit
+            cells = (lo * n + pairs[p]) * n + hit[p].argmax(axis=1)
+            np.minimum.at(first, cells // n**3, cells % n**3)
+            if (first < n**3).all():
+                break
+    yield "BCK1", 3, first
+    for axiom, eq in _AXIOM_CLASSES:
+        arity = 2 if eq is None else eq.arity
+        blocks = grid_masks(stack, 2, _bck5_holds) if eq is None else _holding_blocks(stack, eq)
+        first = np.full(k, n**arity)
+        for start, holding in blocks:
+            if not holding.all():
+                fails = ~holding.reshape(k, -1)
+                at = np.minimum(first, start + fails.argmax(axis=1))
+                first = np.where(fails.any(axis=1), at, first)
+        yield axiom, arity, first
 
 
 def check_axioms(order: int, table) -> AxiomReport:
@@ -224,29 +272,16 @@ def check_axioms(order: int, table) -> AxiomReport:
 
 
 def _axiom_report(t: np.ndarray) -> AxiomReport:
-    # the axiom check of a table array that passed the shape check: BCK1 by
-    # its own kernel, the other classes on the gather kernel
+    # the axiom check of a table array that passed the shape check; the
+    # kernels check it as the stack of one
     order = len(t)
     if order < _VECTORIZE_MIN_ORDER:
         return AxiomReport(tuple(_check_small(order, t.tolist())))
-    viol = [("BCK1", w)] if (w := _bck1_witness(t)) else []
-    for axiom, arity, fails in _AXIOM_FAILURES:
-        blocks = grid_masks(t, arity, fails)
-        first = next((start + int(m.argmax()) for start, m in blocks if m.any()), None)
-        if first is not None:
-            viol.append((axiom, tuple(int(v) for v in np.unravel_index(first, (order,) * arity))))
+    viol = []
+    for axiom, arity, first in _stack_witnesses(t[None]):
+        if first[0] < order**arity:
+            viol.append((axiom, tuple(map(int, np.unravel_index(first[0], (order,) * arity)))))
     return AxiomReport(tuple(viol))
-
-
-def _bck1_witness(t: np.ndarray) -> tuple[int, int, int] | None:
-    """The first (x, y, z) in row-major order with ((x*y)*(x*z))*(z*y) != 0."""
-    n = len(t)
-    for lo, pairs, hit in _bck1_blocks(t[None]):
-        if hit.any():
-            p, z = divmod(int(hit.argmax()), n)
-            x, y = divmod(int(pairs[p]), n)
-            return (lo + x, y, z)
-    return None
 
 
 def _bck1_blocks(stack: np.ndarray):
@@ -331,36 +366,34 @@ def _bck1_blocks(stack: np.ndarray):
 
 def _stack_ok(stack: np.ndarray) -> np.ndarray:
     """Whether each table of a (k, n, n) stack of shape-checked tables
-    satisfies every axiom class: one pass over the whole stack, BCK1 by its
-    blocked kernel and the other classes by their masks on the gather
-    kernel. Agrees with ``_check_small``'s verdict table by table."""
-    k, n = len(stack), stack.shape[-1]
-    bad = np.zeros(k * n, bool)
-    for lo, pairs, hit in _bck1_blocks(stack):
-        if hit.any():
-            bad[lo + pairs[hit.any(axis=1)] // n] = True
-    bad = bad.reshape(k, n).any(axis=1)
-    for _, arity, fails in _AXIOM_FAILURES:
-        for _, m in grid_masks(stack, arity, lambda s, *args: fails(_Tables(s, args), *args)):
-            bad |= m.any(axis=tuple(range(1, m.ndim)))
-    return ~bad
-
-
-def _stack_flags(stack: np.ndarray) -> tuple[list[bool], list[bool], list[bool], list[bool]]:
-    """``is_linear``, ``is_commutative``, ``is_positive_implicative`` and
-    ``is_implicative`` of each table of a (k, n, n) stack of algebras, each
-    in one pass over the stack."""
+    satisfies every axiom class: no witness in :func:`_stack_witnesses`.
+    Agrees with ``_check_small``'s verdict table by table."""
     n = stack.shape[-1]
-    below = stack == 0
-    meets = np.take_along_axis(stack, stack, axis=2)  # meets[i, y, x] = y*(y*x) = x ^ y
-    then_y = np.take_along_axis(stack, stack, axis=1)  # then_y[i, x, y] = (x*y)*y
-    absorbed = np.take_along_axis(stack, stack.transpose(0, 2, 1), axis=2)  # x*(y*x)
-    return (
-        (below | below.transpose(0, 2, 1)).all(axis=(1, 2)).tolist(),
-        (meets == meets.transpose(0, 2, 1)).all(axis=(1, 2)).tolist(),
-        (stack == then_y).all(axis=(1, 2)).tolist(),
-        (absorbed == np.arange(n)[:, None]).all(axis=(1, 2)).tolist(),
-    )
+    return np.logical_and.reduce([first == n**arity for _, arity, first in _stack_witnesses(stack)])
+
+
+# The property flags in report order, each as where its law holds at
+# [i, x, y] of a (k, n, n) stack s of algebras: ks indexes the tables, xs x.
+_FLAG_LAWS = {
+    "linear": lambda s, ks, xs: (s == 0) | (s == 0).transpose(0, 2, 1),  # x <= y or y <= x
+    # meets[i, x, y] = x*(x*y) = y ^ x, so x ^ y = y ^ x
+    "commutative": lambda s, ks, xs: (meets := s[ks, xs, s]) == meets.transpose(0, 2, 1),
+    "positive_implicative": lambda s, ks, xs: s == s[ks, s, xs.T],  # x*y = (x*y)*y
+    "implicative": lambda s, ks, xs: s[ks, xs, s.transpose(0, 2, 1)] == xs,  # x*(y*x) = x
+}
+
+
+def _holds_throughout(law, stack: np.ndarray) -> list[bool]:
+    # whether a law of _FLAG_LAWS holds at every cell of each table of the stack
+    k, n = len(stack), stack.shape[-1]
+    cells = law(stack, np.arange(k).reshape(k, 1, 1), np.arange(n).reshape(n, 1))
+    return cells.all(axis=(1, 2)).tolist()
+
+
+def _stack_flags(stack: np.ndarray) -> dict[str, list[bool]]:
+    """Each flag of :data:`_FLAG_LAWS` of each table of a (k, n, n) stack of
+    algebras, each in one pass over the stack."""
+    return {name: _holds_throughout(law, stack) for name, law in _FLAG_LAWS.items()}
 
 
 # Most cells the canonical-form kernel gathers at once: a block of tables
@@ -489,22 +522,16 @@ class BckAlgebra:
         return self.neg(self.meet(self.neg(x), self.neg(y)))
 
     def is_linear(self) -> bool:
-        below = self.array == 0
-        return bool((below | below.T).all())
+        return _holds_throughout(_FLAG_LAWS["linear"], self.array[None])[0]
 
     def is_commutative(self) -> bool:
-        t = self.array
-        meets = t[np.arange(self.order)[:, None], t]  # meets[y, x] = y*(y*x) = x ^ y
-        return bool((meets == meets.T).all())
+        return _holds_throughout(_FLAG_LAWS["commutative"], self.array[None])[0]
 
     def is_positive_implicative(self) -> bool:
-        t = self.array
-        return bool((t == t[t, np.arange(self.order)]).all())  # x*y = (x*y)*y
+        return _holds_throughout(_FLAG_LAWS["positive_implicative"], self.array[None])[0]
 
     def is_implicative(self) -> bool:
-        t = self.array
-        xs = np.arange(self.order)[:, None]
-        return bool((t[xs, t.T] == xs).all())  # x*(y*x) = x
+        return _holds_throughout(_FLAG_LAWS["implicative"], self.array[None])[0]
 
     def atoms(self) -> set[int]:
         """Minimal elements among the non-zero elements."""

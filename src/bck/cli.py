@@ -16,10 +16,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import tableio
-from .algebra import BckAxiomError, MalformedTableError, UnboundedAlgebraError, _axiom_report
+from .algebra import (
+    _FLAG_LAWS,
+    BckAxiomError,
+    MalformedTableError,
+    UnboundedAlgebraError,
+    _axiom_report,
+    _stack_flags,
+)
 from .constructions import FAMILY_NAMES, bck_union, direct_product, family, iseki_extension
 from .degrees import (
     DEGREE_FUNCTIONS,
@@ -38,7 +46,7 @@ from .enumeration import (
     save_catalog,
     spectrum,
 )
-from .terms import BUILTIN_EQUATIONS, EquationSyntaxError, builtin, parse, pretty
+from .terms import BUILTIN_EQUATIONS, builtin, parse, pretty
 
 
 def _emit(args, report: dict, lines: list[str]) -> None:
@@ -69,27 +77,15 @@ def cmd_verify(args) -> int:
     return 1
 
 
-# the property flags `props` and `enumerate` report, in report order
-_FLAGS = ("linear", "commutative", "positive_implicative", "implicative")
-
-
 def cmd_props(args) -> int:
     algebra = tableio.load_algebra(args.file)
     atoms = sorted(algebra.atoms())
-    results = {
-        "order": algebra.order,
-        "bound": algebra.bound,
-        "linear": algebra.is_linear(),
-        "commutative": algebra.is_commutative(),
-        "positive_implicative": algebra.is_positive_implicative(),
-        "implicative": algebra.is_implicative(),
-        "atoms": atoms,
-    }
+    flags = {name: f[0] for name, f in _stack_flags(algebra.array[None]).items()}
+    results = {"order": algebra.order, "bound": algebra.bound, **flags, "atoms": atoms}
     out = {"command": "props", "inputs": {"file": args.file}, "results": results}
     lines = [f"order: {algebra.order}"]
     lines.append("bounded: no" if algebra.bound is None else f"bounded: yes (1 = {algebra.bound})")
-    for key in _FLAGS:
-        lines.append(f"{key}: {'yes' if results[key] else 'no'}")
+    lines += [f"{key}: {'yes' if results[key] else 'no'}" for key in _FLAG_LAWS]
     lines.append("atoms: " + " ".join(str(a) for a in atoms))
     _emit(args, out, lines)
     return 0
@@ -118,7 +114,11 @@ def cmd_degree(args) -> int:
 
 
 def cmd_family(args) -> int:
-    algebra = family(args.name, args.n)
+    return _write_table(args, family(args.name, args.n))
+
+
+def _write_table(args, algebra) -> int:
+    # the algebra's table file, to --out or stdout
     text = tableio.dumps(algebra.order, algebra.array)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -135,6 +135,13 @@ def cmd_construct(args) -> int:
     if args.operation != "iseki" and count < 2:
         raise ValueError(f"{args.operation} takes at least two table files, got {count}")
     operands = [tableio.load_algebra(f) for f in args.files]
+    # the result's order, bounded before its table is built: the operands
+    # of a union share their 0, and iseki adds one element
+    orders = [a.order for a in operands]
+    order = {"product": math.prod(orders), "union": sum(orders) - (count - 1),
+             "iseki": orders[0] + 1}[args.operation]
+    if order > tableio.MAX_ORDER:
+        raise ValueError(f"{args.operation} would have order {order}, above {tableio.MAX_ORDER}")
     if args.operation == "iseki":
         result = iseki_extension(operands[0])
     else:
@@ -142,13 +149,7 @@ def cmd_construct(args) -> int:
         result = operands[0]
         for other in operands[1:]:
             result = combine(result, other)
-    text = tableio.dumps(result.order, result.array)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_table(args, result)
 
 
 def cmd_gap(args) -> int:
@@ -214,7 +215,7 @@ def cmd_enumerate(args) -> int:
     lines = [f"order {args.order}: {len(catalog)} algebras up to isomorphism"]
     for e in catalog.entries:
         flags = ["bounded" if e.algebra.bound is not None else "unbounded"]
-        flags += [key for key in _FLAGS if getattr(e, key)]
+        flags += [key for key in _FLAG_LAWS if getattr(e, key)]
         row = " ".join(",".join(str(v) for v in r) for r in e.algebra.table)
         lines.append(f"  [{row}] {' '.join(flags)}")
     _emit(args, {}, lines)
@@ -443,13 +444,7 @@ def main(argv=None) -> int:
             EnumerationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (tableio.TableFormatError, MalformedTableError, EquationSyntaxError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # table, equation, usage and I/O errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,14 +12,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import total_ordering
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import BckAlgebra, _Tables, grid_masks
+from .algebra import BckAlgebra, _holding_blocks
 from .constructions import chain, direct_product
-from .terms import BUILTIN_EQUATIONS, Equation, builtin, holds
+from .terms import BUILTIN_EQUATIONS, Equation, builtin
 
 
 class NotCommutativeError(ValueError):
@@ -93,14 +92,7 @@ def ds(algebra: BckAlgebra, eq: Equation, jobs: int = 1) -> Degree:
     memory does not grow with n^k. ``jobs`` is accepted and has no effect:
     the kernel beat the former process pool at every size.
     """
-
-    def holding(t, *args):
-        # eval_term needs only op and bound, so gathers on t evaluate the
-        # equation over a whole block of assignments at once
-        gathers = SimpleNamespace(op=lambda x, y: t[x, y], bound=algebra.bound)
-        return holds(gathers, eq, dict(zip(eq.vars, args)))
-
-    blocks = grid_masks(algebra.array, eq.arity, holding)
+    blocks = _holding_blocks(algebra.array, eq, algebra.bound)
     count = sum(int(np.count_nonzero(mask)) for _, mask in blocks)
     return Degree(count, algebra.order**eq.arity)
 
@@ -110,16 +102,8 @@ def ds_stack(stack: np.ndarray, eq: Equation, bounds: np.ndarray | None = None) 
     of algebras: :func:`ds`'s counts for a whole catalog in one pass of the
     same evaluator and kernel, with a table axis. ``bounds`` holds
     each table's greatest element, or is None when ``eq`` needs none."""
-    k = len(stack)
-
-    def holding(s, *args):
-        tables = _Tables(s, args)
-        bound = None if bounds is None else bounds.reshape(tables.ks.shape)
-        gathers = SimpleNamespace(op=lambda x, y: tables[x, y], bound=bound)
-        return tables.spread(holds(gathers, eq, dict(zip(eq.vars, args))), args)
-
-    counts = np.zeros(k, np.intp)
-    for _, mask in grid_masks(stack, eq.arity, holding):
+    counts = np.zeros(len(stack), np.intp)
+    for _, mask in _holding_blocks(stack, eq, bounds):
         counts += np.count_nonzero(mask, axis=tuple(range(1, mask.ndim)))
     return counts.tolist()
 

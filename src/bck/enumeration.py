@@ -59,6 +59,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import tableio
+from .tableio import TableFormatError
 from .algebra import (
     BckAlgebra,
     BckAxiomError,
@@ -371,19 +372,17 @@ class Catalog:
         return len(self.entries)
 
 
-class _CatalogDegrees:
-    """The degrees of every algebra of one catalog, held as a stack. Each
-    kind is counted for all of them at once, in one :func:`stack_degrees`,
-    when it is first read."""
+class _CatalogDegrees(dict):
+    """The degrees of every algebra of one catalog by kind, each kind counted
+    over the catalog's stack by one :func:`stack_degrees` when first read."""
 
     def __init__(self, stack: np.ndarray, bounds: list[int | None], commutative: list[bool]):
-        self._stack, self._bounds, self._commutative = stack, bounds, commutative
-        self._known: dict[str, list[Degree | None]] = {}
+        super().__init__()
+        self._inputs = (stack, bounds, commutative)
 
-    def of(self, kind: str) -> list[Degree | None]:
-        if kind not in self._known:
-            self._known[kind] = stack_degrees(kind, self._stack, self._bounds, self._commutative)
-        return self._known[kind]
+    def __missing__(self, kind: str) -> list[Degree | None]:
+        self[kind] = stack_degrees(kind, *self._inputs)
+        return self[kind]
 
 
 class _Degrees(Mapping):
@@ -396,7 +395,7 @@ class _Degrees(Mapping):
         self._catalog, self._i = catalog, i
 
     def __getitem__(self, kind: str) -> Degree | None:
-        return self._catalog.of(kind)[self._i]
+        return self._catalog[kind][self._i]
 
     def __iter__(self):
         return iter(DEGREE_KINDS)
@@ -414,12 +413,11 @@ def _profile(stack: np.ndarray) -> tuple[CatalogEntry, ...]:
     read. Each algebra's array is a read-only view of the stack."""
     stack.flags.writeable = False
     algebras = _build_stack(stack)
-    bounds = [a.bound for a in algebras]
     flags = _stack_flags(stack)
-    degrees = _CatalogDegrees(stack, bounds, flags[1])
+    degrees = _CatalogDegrees(stack, [a.bound for a in algebras], flags["commutative"])
     return tuple(
-        CatalogEntry(a, linear, commutative, positive, implicative, _Degrees(degrees, i))
-        for i, (a, linear, commutative, positive, implicative) in enumerate(zip(algebras, *flags))
+        CatalogEntry(a, *(f[i] for f in flags.values()), _Degrees(degrees, i))
+        for i, a in enumerate(algebras)
     )
 
 
@@ -571,70 +569,42 @@ def audit_bounds(catalog: Catalog) -> AuditReport:
     checks: list[AuditCheck] = []
 
     def run(name, condition, predicate, detail):
-        bad = []
-        for e in catalog.entries:
-            if condition(e) and not predicate(e):
-                bad.append((e.algebra.table, detail(e)))
-        checks.append(AuditCheck(name, not bad, tuple(bad)))
+        bad = tuple((e.algebra.table, detail(e)) for e in catalog.entries
+                    if condition(e) and not predicate(e))
+        checks.append(AuditCheck(name, not bad, bad))
 
-    lo_cd, hi_cd = Fraction(3 * n - 2) / n2, Fraction(n * n - 2) / n2
-    run(
-        "cd_bounds_noncommutative",
-        lambda e: not e.commutative,
-        lambda e: lo_cd <= e.degrees["cd"].fraction <= hi_cd,
-        lambda e: f"cd = {e.degrees['cd'].reduced} outside [{lo_cd}, {hi_cd}]",
-    )
-    lo_dnd, hi_dnd = Fraction(2, n), Fraction(n - 1, n)
-    run(
-        "dnd_bounds_noncommutative_bounded",
-        lambda e: not e.commutative and e.algebra.bound is not None,
-        lambda e: lo_dnd <= e.degrees["dnd"].fraction <= hi_dnd,
-        lambda e: f"dnd = {e.degrees['dnd'].reduced} outside [{lo_dnd}, {hi_dnd}]",
-    )
+    def within(name, condition, kind, lo, hi=None):
+        # the degree of `kind` in [lo, hi], or at least lo if hi is None
+        run(
+            name,
+            condition,
+            lambda e: lo <= e.degrees[kind].fraction <= (1 if hi is None else hi),
+            lambda e: f"{kind} = {e.degrees[kind].reduced} "
+            + (f"below {lo}" if hi is None else f"outside [{lo}, {hi}]"),
+        )
+
+    within("cd_bounds_noncommutative", lambda e: not e.commutative,
+           "cd", Fraction(3 * n - 2) / n2, Fraction(n * n - 2) / n2)
+    within("dnd_bounds_noncommutative_bounded",
+           lambda e: not e.commutative and e.algebra.bound is not None,
+           "dnd", Fraction(2, n), Fraction(n - 1, n))
     lo_p, hi_p = Fraction(4 * n - 4) / n2, Fraction(n * n - 1) / n2
-    run(
-        "pid_bounds_not_positive_implicative",
-        lambda e: not e.positive_implicative,
-        lambda e: lo_p <= e.degrees["pid"].fraction <= hi_p,
-        lambda e: f"pid = {e.degrees['pid'].reduced} outside [{lo_p}, {hi_p}]",
-    )
-    run(
-        "id_bounds_not_implicative",
-        lambda e: not e.implicative,
-        lambda e: lo_p <= e.degrees["id"].fraction <= hi_p,
-        lambda e: f"id = {e.degrees['id'].reduced} outside [{lo_p}, {hi_p}]",
-    )
+    within("pid_bounds_not_positive_implicative", lambda e: not e.positive_implicative,
+           "pid", lo_p, hi_p)
+    within("id_bounds_not_implicative", lambda e: not e.implicative, "id", lo_p, hi_p)
     lo_lin = Fraction(n * n + 3 * n - 2) / (2 * n2)
-    run(
-        "pid_linear_lower_bound",
-        lambda e: e.linear and not e.positive_implicative,
-        lambda e: e.degrees["pid"].fraction >= lo_lin,
-        lambda e: f"pid = {e.degrees['pid'].reduced} below {lo_lin}",
-    )
-    run(
-        "id_linear_lower_bound",
-        lambda e: e.linear and not e.implicative,
-        lambda e: e.degrees["id"].fraction >= lo_lin,
-        lambda e: f"id = {e.degrees['id'].reduced} below {lo_lin}",
-    )
-    run(
-        "cd_one_iff_commutative",
-        lambda e: True,
-        lambda e: (e.degrees["cd"].fraction == 1) == e.commutative,
-        lambda e: f"cd = {e.degrees['cd'].reduced}, commutative = {e.commutative}",
-    )
-    run(
-        "pid_one_iff_positive_implicative",
-        lambda e: True,
-        lambda e: (e.degrees["pid"].fraction == 1) == e.positive_implicative,
-        lambda e: f"pid = {e.degrees['pid'].reduced}, positive implicative = {e.positive_implicative}",
-    )
-    run(
-        "id_one_iff_implicative",
-        lambda e: True,
-        lambda e: (e.degrees["id"].fraction == 1) == e.implicative,
-        lambda e: f"id = {e.degrees['id'].reduced}, implicative = {e.implicative}",
-    )
+    within("pid_linear_lower_bound", lambda e: e.linear and not e.positive_implicative,
+           "pid", lo_lin)
+    within("id_linear_lower_bound", lambda e: e.linear and not e.implicative, "id", lo_lin)
+    flags = {"cd": "commutative", "pid": "positive_implicative", "id": "implicative"}
+    for kind, flag in flags.items():
+        run(
+            f"{kind}_one_iff_{flag}",
+            lambda e: True,
+            lambda e, kind=kind, flag=flag: (e.degrees[kind].fraction == 1) == getattr(e, flag),
+            lambda e, kind=kind, flag=flag: f"{kind} = {e.degrees[kind].reduced}, "
+            f"{flag.replace('_', ' ')} = {getattr(e, flag)}",
+        )
 
     bad_rt = []
     for e in catalog.entries:
@@ -687,17 +657,19 @@ def load_catalog(dirpath) -> Catalog:
     it is read would raise: the first fault in index order, whether a file
     that cannot be read or parsed, a table that breaks an axiom (the
     :class:`BckAxiomError` of :func:`from_table`), or one of another order.
+    An index of the wrong shape raises :class:`tableio.TableFormatError`
+    before any table is read.
     """
     index = json.loads(tableio.read_text(os.path.join(dirpath, "index.json"), "catalog index"))
-    order = index["order"]
+    order, files = _index_files(index)
     tables, fault = [], None
     try:
-        for rec in index["algebras"]:
-            n, table = tableio.read_table(os.path.join(dirpath, rec["file"]))
+        for fname in files:
+            n, table = tableio.read_table(os.path.join(dirpath, fname))
             if n != order:
                 _checked(n, table)  # its axioms come before its order, as when loaded alone
                 raise MalformedTableError(
-                    f"{rec['file']} has order {n}, but the catalog index says {order}"
+                    f"{fname} has order {n}, but the catalog index says {order}"
                 )
             tables.append(table)
     except Exception as exc:  # raised below, once the tables before it are checked
@@ -710,3 +682,22 @@ def load_catalog(dirpath) -> Catalog:
     if fault is not None:
         raise fault
     return Catalog(order, _profile(stack) if tables else ())
+
+
+def _index_files(index) -> tuple[int, list[str]]:
+    """The order and table file names of a catalog index whose shape is
+    checked: an object with a positive integer ``order`` and ``algebras``,
+    a list of objects each with a ``file`` in the catalog directory."""
+    if not isinstance(index, dict):
+        raise TableFormatError(f"catalog index must be a JSON object, got {type(index).__name__}")
+    order = index.get("order")
+    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
+        raise TableFormatError(f"catalog index order must be a positive integer, got {order!r}")
+    records = index.get("algebras")
+    if not isinstance(records, list) or not all(isinstance(rec, dict) for rec in records):
+        raise TableFormatError("catalog index algebras must be a list of objects")
+    files = [rec.get("file") for rec in records]
+    for i, name in enumerate(files):
+        if not isinstance(name, str) or name in ("", ".", "..") or os.path.basename(name) != name:
+            raise TableFormatError(f"catalog index entry {i} needs a plain file name, got {name!r}")
+    return order, files

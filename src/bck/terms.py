@@ -23,7 +23,9 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Union
 
-from .algebra import BckAlgebra, UnboundedAlgebraError
+
+class UnboundedAlgebraError(ValueError):
+    """Operation requires a greatest element but the algebra has none."""
 
 
 @dataclass(frozen=True)
@@ -110,11 +112,7 @@ class Equation:
 
 
 def make_equation(lhs: Term, rhs: Term) -> Equation:
-    seen = list(free_vars(lhs))
-    for name in free_vars(rhs):
-        if name not in seen:
-            seen.append(name)
-    return Equation(lhs, rhs, tuple(seen))
+    return Equation(lhs, rhs, free_vars(BDot(lhs, rhs)))  # lhs's variables first
 
 
 _PUNCT = {".", "&", "|", "~", "(", ")", "=", "0", "1"}
@@ -284,8 +282,10 @@ def builtin(name: str) -> Equation:
         raise ValueError(f"unknown builtin equation {name!r}") from None
 
 
-def eval_term(algebra: BckAlgebra, term: Term, assignment: dict[str, int]) -> int:
+def eval_term(algebra, term: Term, assignment: dict[str, int]) -> int:
     """Evaluate a term; derived operators expand to their defining terms.
+    ``algebra`` needs only ``op`` and ``bound``: a ``BckAlgebra``, or the
+    gathers by which a kernel evaluates whole blocks of assignments.
 
     Raises :class:`UnboundedAlgebraError` if the term mentions 1, ~, or |
     and the algebra has no greatest element; :class:`UnboundVariableError`
@@ -324,5 +324,5 @@ def eval_term(algebra: BckAlgebra, term: Term, assignment: dict[str, int]) -> in
     raise TypeError(f"not a term: {term!r}")
 
 
-def holds(algebra: BckAlgebra, eq: Equation, assignment: dict[str, int]) -> bool:
+def holds(algebra, eq: Equation, assignment: dict[str, int]) -> bool:
     return eval_term(algebra, eq.lhs, assignment) == eval_term(algebra, eq.rhs, assignment)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from bck import enumerate_algebras
@@ -28,3 +30,17 @@ def small_catalogs(catalog3, catalog4, catalog5):
         4: catalog4,
         5: catalog5,
     }
+
+
+# The property flags and atoms of an algebra from their definitions, cell by
+# cell: the oracle of the flag kernels, imported by the tests that use it.
+def _flags_by_definition(alg):
+    els = alg.elements
+    pairs = list(itertools.product(els, els))
+    return (
+        all(alg.leq(x, y) or alg.leq(y, x) for x, y in pairs),
+        all(alg.meet(x, y) == alg.meet(y, x) for x, y in pairs),
+        all(alg.op(x, y) == alg.op(alg.op(x, y), y) for x, y in pairs),
+        all(alg.op(x, alg.op(y, x)) == x for x, y in pairs),
+        {x for x in els if x and not any(y and y != x and alg.leq(y, x) for y in els)},
+    )

@@ -29,6 +29,7 @@ from bck import (
 )
 from bck import algebra
 from bck.algebra import _BCK1_BLOCK_CELLS, _BLOCK_CELLS, _check_small, canonical_table
+from conftest import _flags_by_definition
 
 PI_TABLE = [[0, 0, 0], [1, 0, 0], [2, 2, 0]]
 TC_TABLE = [[0, 0, 0], [1, 0, 0], [2, 1, 0]]
@@ -203,18 +204,6 @@ def test_array_is_the_table():
     assert type(alg.bound) is int and all(type(a) is int for a in alg.atoms())
     assert all(type(v) is int for row in alg.table for v in row)
     json.dumps([alg.table, alg.bound, flags, sorted(alg.atoms())])
-
-
-def _flags_by_definition(alg):
-    els = alg.elements
-    pairs = list(itertools.product(els, els))
-    return (
-        all(alg.leq(x, y) or alg.leq(y, x) for x, y in pairs),
-        all(alg.meet(x, y) == alg.meet(y, x) for x, y in pairs),
-        all(alg.op(x, y) == alg.op(alg.op(x, y), y) for x, y in pairs),
-        all(alg.op(x, alg.op(y, x)) == x for x, y in pairs),
-        {x for x in els if x and not any(y and y != x and alg.leq(y, x) for y in els)},
-    )
 
 
 def test_flags_and_atoms_match_their_definitions(small_catalogs):

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -420,6 +421,24 @@ def test_construct_needs_at_least_two_files(capsys, pi_file, operation):
     code, out, err = run(capsys, "construct", operation, pi_file)
     assert code == 2 and out == ""
     assert f"{operation} takes at least two table files, got 1" in err
+
+
+@pytest.mark.parametrize("orders", [(33, 32), (11, 10, 10)])
+def test_construct_product_above_max_order_exits_2(capsys, monkeypatch, tmp_path, orders):
+    # the order is bounded from the operands' orders before any table is built
+    def no_product(*args):
+        raise AssertionError("the product was built")
+
+    monkeypatch.setattr(cli, "direct_product", no_product)
+    files = []
+    for i, n in enumerate(orders):
+        files.append(str(tmp_path / f"c{i}.tbl"))
+        tableio.dump_algebra(files[-1], chain(n))
+    out = tmp_path / "out.tbl"
+    code, stdout, err = run(capsys, "construct", "product", *files, "--out", str(out))
+    size = math.prod(orders)
+    assert (code, stdout, err) == (2, "", f"error: product would have order {size}, above 1024\n")
+    assert not out.exists()
 
 
 def test_audit_rejects_catalog_table_of_another_order(capsys, tmp_path):

@@ -14,6 +14,7 @@ from bck.algebra import _CANON_BLOCK_CELLS, _check_small, _stack_canonical, _sta
 from bck.cli import main as cli_main
 from bck.degrees import DEGREE_FUNCTIONS, DEGREE_KINDS, ds_stack
 from bck import (
+    FAMILY_NAMES,
     Degree,
     EnumerationLimitError,
     MalformedTableError,
@@ -42,6 +43,7 @@ from bck import (
     two,
     verify_conjectures,
 )
+from conftest import _flags_by_definition
 
 
 def test_enumerate_tiny_orders():
@@ -680,6 +682,55 @@ def test_bad_catalog_exit_codes(capsys, tmp_path, saved_catalog4, fault):
         assert (code, out.out, out.err) == (LOAD_FAULTS[fault][1], "", f"error: {message}\n")
 
 
+def _set_file(value):
+    # the index with entry 2's file name set to value, or removed if None
+    def edit(index):
+        rec = index["algebras"][2]
+        del rec["file"]
+        if value is not None:
+            rec["file"] = value
+        return index
+
+    return edit
+
+
+# an index.json of the wrong shape, and the message naming its fault
+INDEX_FAULTS = {
+    "no_order": (lambda index: {k: v for k, v in index.items() if k != "order"},
+                 "catalog index order must be a positive integer, got None"),
+    "bool_order": (lambda index: dict(index, order=True),
+                   "catalog index order must be a positive integer, got True"),
+    "negative_order": (lambda index: dict(index, order=-1, algebras=[]),
+                       "catalog index order must be a positive integer, got -1"),
+    "list": (lambda index: index["algebras"], "catalog index must be a JSON object, got list"),
+    "algebras_not_list": (lambda index: dict(index, algebras={}),
+                          "catalog index algebras must be a list of objects"),
+    "entry_not_object": (lambda index: dict(index, algebras=["x.tbl"]),
+                         "catalog index algebras must be a list of objects"),
+    "no_file": (_set_file(None), "catalog index entry 2 needs a plain file name, got None"),
+    "file_not_string": (_set_file(7), "catalog index entry 2 needs a plain file name, got 7"),
+    "file_outside": (_set_file("../x"),
+                     "catalog index entry 2 needs a plain file name, got '../x'"),
+}
+
+
+@pytest.mark.parametrize("fault", INDEX_FAULTS)
+def test_malformed_catalog_index_exits_2(capsys, tmp_path, saved_catalog4, fault):
+    # checked before any table is read: "../x" names a valid order-4 table
+    cat = _faulty_copy(tmp_path, saved_catalog4, {})
+    (tmp_path / "x").write_text(tableio.dumps(4, chain(4).table))
+    edit, message = INDEX_FAULTS[fault]
+    index = json.loads((cat / "index.json").read_text())
+    (cat / "index.json").write_text(json.dumps(edit(index)))
+    with pytest.raises(tableio.TableFormatError) as exc:
+        load_catalog(cat)
+    assert str(exc.value) == message
+    for argv in (["audit", "--order", "4"], ["spectrum", "--order", "4", "--kind", "cd"]):
+        code = cli_main([*argv, "--catalog", str(cat)])
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (2, "", f"error: {message}\n")
+
+
 def _noisy_copies(catalog):
     # each entry with one cell moved to the next value: mostly not algebras
     out = []
@@ -730,12 +781,50 @@ def test_stacked_check_agrees_with_check_small(monkeypatch, catalogs_1_to_6, blo
     assert sum(_check_stack_against_check_small(fills, 4)) == 67
 
 
+def _stack_reports(stack):
+    # each table's violations, as _check_small lists them, read off the
+    # stacked check's first witnesses
+    k, n = len(stack), stack.shape[-1]
+    reports = [[] for _ in range(k)]
+    for axiom, arity, first in algebra_module._stack_witnesses(stack):
+        for i in np.flatnonzero(first < n**arity).tolist():
+            reports[i].append((axiom, tuple(map(int, np.unravel_index(first[i], (n,) * arity)))))
+    return reports
+
+
+@pytest.mark.parametrize("block_cells", [None, 7 * 64, 1])
+def test_stacked_witnesses_agree_with_check_small(monkeypatch, block_cells):
+    # valid and corrupted tables mixed in one stack at each of orders 4-12:
+    # every table's first witness per class is _check_small's. Small blocks
+    # make the BCK1 blocks and the gather kernel's blocks split and span tables.
+    if block_cells is not None:
+        monkeypatch.setattr(algebra_module, "_BCK1_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(algebra_module, "_BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(18)
+    for n in range(4, 13):
+        tables = []
+        for name in FAMILY_NAMES:
+            sigma = [0, *(1 + rng.permutation(n - 1)).tolist()]
+            m = n - 1 if name == "D" else n  # D_m has order m + 1
+            valid = family(name, m).relabel(sigma).array
+            tables.append(valid)
+            for cells in (1, 2, 3):
+                bad = valid.copy()
+                for _ in range(cells):
+                    bad[rng.integers(n), rng.integers(n)] = rng.integers(n)
+                tables.append(bad)
+        stack = np.stack(tables)
+        expected = [_check_small(n, t) for t in stack.tolist()]
+        assert _stack_reports(stack) == expected
+        assert any(expected) and not all(expected)
+
+
 def test_stacked_flags_and_degrees_agree_with_per_algebra(catalogs_1_to_6):
     for cat in catalogs_1_to_6.values():
         for e in cat.entries:
             a = e.algebra
             assert (e.linear, e.commutative, e.positive_implicative, e.implicative) == (
-                a.is_linear(), a.is_commutative(), a.is_positive_implicative(), a.is_implicative(),
+                _flags_by_definition(a)[:4]
             )
             for kind, fn in DEGREE_FUNCTIONS.items():
                 d = e.degrees[kind]
