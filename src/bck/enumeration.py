@@ -12,19 +12,28 @@ each class it completes only the relabelings that keep its order that
 poset's labeling, Σ |Aut(P)|/|Aut(A)| tables for a poset P and its
 classes A: 105 at order 5, 1,013 at order 6, 12,783 at order 7.
 
-Pruning uses only theorems of the axioms, so no valid table is ever lost:
+Pruning uses only theorems of the axioms, so no valid table is ever lost.
+Placing a*b = v applies four rules:
 
-- partial antisymmetry: x*y = 0 and y*x = 0 with x != y is rejected;
-- x*y <= x: placing x*y = v forces v*x = 0;
-- the order is transitive, so each placed zero forces the zeros closing
+- partial antisymmetry: a*b = 0 and b*a = 0 with a != b is rejected;
+- the order is transitive, so a placed zero forces the zeros closing
   its chains;
-- BCK1/BCK2 instances whose inputs are known force their conclusion cell
-  to 0; the exchange identity (x*y)*z = (x*z)*y forces equal values
-  across cell pairs.
+- BCK1, ((a*z)*(a*b))*(b*z) = 0, forces its conclusion cell to 0 for
+  each z whose a*z and b*z are known;
+- the exchange identity (a*b)*z = (a*z)*b forces equal values across
+  each pair of cells of which one is known.
 
-The first three decide nothing in a poset task, whose zeros are given;
+The first two decide nothing in a poset task, whose zeros are given;
 the full labeled search (:func:`enumerate_labeled_tables`, the tests'
-oracle) branches on every value of every free cell and needs them all.
+oracle) branches on every value of every free cell and needs them.
+
+Row 0, column 0 and the diagonal are placed before the search, and with
+them the last two rules force other theorems with no rule of their own:
+
+- x*y <= x is exchange at z = a: (a*b)*a = (a*a)*b = 0*b = 0;
+- BCK2, (a*(a*b))*b = 0, is BCK1 at z = 0 when a*b is placed after
+  a*(a*b), and exchange at z = b when a*(a*b) = w is placed after a*b:
+  (a*w)*b = (a*b)*w = w*w = 0.
 
 Forced values live in a cell -> value map consulted before branching.
 Propagation covers only some of the axiom instances a placed cell takes
@@ -33,9 +42,10 @@ part in, so it lets through completed tables that break an axiom: 66 of
 every completed table rejects those; it is the one place a table is
 validated, so over-eager pruning could only lose catalogs, never corrupt
 them. The no-pruning oracles in the test suite guard against loss at
-orders 3 and 4. A ``max_nodes`` budget counts every value tried, rejected
-or not: the order-5 catalog search tries 1,582 in all, the full labeled
-search 94,075.
+orders 3 and 4, and the catalog search with no propagation at order 5.
+A ``max_nodes`` budget counts every value tried, rejected or not: the
+order-5 catalog search tries 1,586 in all, the full labeled search
+110,070.
 
 Where the completed tables are checked: the leaf of the search only
 collects them, across tasks. Every ``_LEAF_CHUNK`` of them, and at the
@@ -109,25 +119,14 @@ def _initial_table(n: int) -> list[list[int | None]]:
 
 
 def _propagate(n, t, a, b, v, force):
-    # axiom instances decided or half-decided by the new cell (a, b) = v
-    t2 = t[a][v]  # BCK2 (a, b): (a*(a*b))*b = 0
-    if t2 is not None and not force(t2, b, 0):
-        return False
+    # the BCK1 and exchange instances decided or half-decided by the new
+    # cell (a, b) = v; the module docstring says why no other rule is needed
     ta = t[a]
     tv = t[v]
     for z in range(n):
         az = ta[z]
-        if az is None:
+        if az is None or z == b:
             continue
-        if az == b and not force(v, z, 0):  # BCK2 (a, z) routes through (a, b)
-            return False
-        if z == b:
-            continue
-        p = tv[az]  # BCK1 (a, b, z): ((a*b)*(a*z))*(z*b) = 0
-        if p is not None:
-            q = t[z][b]
-            if q is not None and not force(p, q, 0):
-                return False
         p = t[az][v]  # BCK1 (a, z, b): ((a*z)*(a*b))*(b*z) = 0
         if p is not None:
             q = t[b][z]
@@ -151,13 +150,8 @@ def _place(n, t, forced, a, b, v):
     want = forced.get((a, b))
     if want is not None and v != want:
         return None
-    if v == 0:
-        if t[b][a] == 0:  # would break antisymmetry
-            return None
-    else:
-        c = t[v][a]  # (a*b)*a must be 0
-        if c is not None and c != 0:
-            return None
+    if v == 0 and t[b][a] == 0:  # would break antisymmetry
+        return None
     t[a][b] = v
     added: list[tuple[int, int]] = []
 
@@ -174,8 +168,6 @@ def _place(n, t, forced, a, b, v):
         return prev == val
 
     ok = _propagate(n, t, a, b, v, force)
-    if ok and v != 0 and v != a:
-        ok = force(v, a, 0)
     if ok and v == 0:
         # the order must stay transitive through a <= b
         for c in range(n):
@@ -657,8 +649,8 @@ def load_catalog(dirpath) -> Catalog:
     it is read would raise: the first fault in index order, whether a file
     that cannot be read or parsed, a table that breaks an axiom (the
     :class:`BckAxiomError` of :func:`from_table`), or one of another order.
-    An index of the wrong shape raises :class:`tableio.TableFormatError`
-    before any table is read.
+    An index of the wrong shape, or one that names a file twice, raises
+    :class:`tableio.TableFormatError` before any table is read.
     """
     index = json.loads(tableio.read_text(os.path.join(dirpath, "index.json"), "catalog index"))
     order, files = _index_files(index)
@@ -687,7 +679,8 @@ def load_catalog(dirpath) -> Catalog:
 def _index_files(index) -> tuple[int, list[str]]:
     """The order and table file names of a catalog index whose shape is
     checked: an object with a positive integer ``order`` and ``algebras``,
-    a list of objects each with a ``file`` in the catalog directory."""
+    a list of objects each with a ``file`` in the catalog directory, no
+    two the same."""
     if not isinstance(index, dict):
         raise TableFormatError(f"catalog index must be a JSON object, got {type(index).__name__}")
     order = index.get("order")
@@ -697,7 +690,10 @@ def _index_files(index) -> tuple[int, list[str]]:
     if not isinstance(records, list) or not all(isinstance(rec, dict) for rec in records):
         raise TableFormatError("catalog index algebras must be a list of objects")
     files = [rec.get("file") for rec in records]
+    first: dict[str, int] = {}
     for i, name in enumerate(files):
         if not isinstance(name, str) or name in ("", ".", "..") or os.path.basename(name) != name:
             raise TableFormatError(f"catalog index entry {i} needs a plain file name, got {name!r}")
+        if first.setdefault(name, i) != i:
+            raise TableFormatError(f"catalog index entry {i} repeats the file of entry {first[name]}")
     return order, files

@@ -101,6 +101,50 @@ def test_enumerate_order_4_against_no_pruning_oracle(catalog4):
     assert tasks == 15
 
 
+def test_enumerate_order_5_without_propagation(monkeypatch, catalog5):
+    # every placement accepted, so the poset tasks fill in every value
+    # v <= x and only the leaf check validates: the forcing rules lose no class
+    monkeypatch.setattr(enumeration, "_propagate", lambda *args: True)
+    cat = enumerate_algebras(5)
+    assert [e.algebra.table for e in cat.entries] == [e.algebra.table for e in catalog5.entries]
+
+
+def _search_work(monkeypatch, search, n):
+    # values tried, placements accepted, tables completed and valid tables
+    work = [0, 0, 0, 0]
+    place, stack_ok = enumeration._place, enumeration._stack_ok
+
+    def counted_place(*place_args):
+        added = place(*place_args)
+        work[0] += 1
+        work[1] += added is not None
+        return added
+
+    def counted_ok(stack):
+        ok = stack_ok(stack)
+        work[2] += len(ok)
+        work[3] += int(ok.sum())
+        return ok
+
+    monkeypatch.setattr(enumeration, "_place", counted_place)
+    monkeypatch.setattr(enumeration, "_stack_ok", counted_ok)
+    search(n)
+    return tuple(work)
+
+
+@pytest.mark.parametrize("search, n, work", [
+    (enumerate_algebras, 3, (4, 4, 3, 3)),
+    (enumerate_algebras, 4, (73, 49, 18, 15)),
+    (enumerate_algebras, 5, (1586, 691, 171, 105)),
+    (enumerate_algebras, 6, (43200, 13254, 2372, 1013)),
+    (enumerate_labeled_tables, 4, (716, 260, 82, 67)),
+])
+def test_search_work_per_order(monkeypatch, search, n, work):
+    # the figures the module docstring and the README quote; a change in
+    # them is a change in the pruning
+    assert _search_work(monkeypatch, search, n) == work
+
+
 def test_enumerate_counts_regression_baselines(catalog4, catalog5):
     # counts first computed by this tool and frozen as baselines
     assert len(catalog4) == 14
@@ -711,6 +755,8 @@ INDEX_FAULTS = {
     "file_not_string": (_set_file(7), "catalog index entry 2 needs a plain file name, got 7"),
     "file_outside": (_set_file("../x"),
                      "catalog index entry 2 needs a plain file name, got '../x'"),
+    "file_twice": (lambda index: dict(index, algebras=index["algebras"] + index["algebras"][:1]),
+                   "catalog index entry 14 repeats the file of entry 0"),
 }
 
 
