@@ -14,12 +14,13 @@ The derived partial order is x <= y iff x*y = 0, and x*0 = x is a theorem
 
 Each algebra holds its table as one read-only intp array, made once where
 the table enters (the shape check, or a constructor); every layer reads it.
-A large table is checked as a stack of one, one pass per axiom class:
-BCK1 by its own blocked kernel, BCK2-BCK4 and X0 as equations by the term
-evaluator that counts degrees, and BCK5 as a mask, both on the gather
-kernel :func:`grid_masks`. The BCK1 kernel skips the triples with x*y = 0
-of a table whose row 0 is zero: there ((x*y)*(x*z))*(z*y) = 0*(z*y) = 0,
-so none of them is a witness, and it still reports the first one.
+The kernels read (k, n, n) stacks, a single table as the stack of one. A
+large table is checked one pass per axiom class: BCK1 by its own blocked
+kernel, BCK2-BCK4 and X0 as equations by the term evaluator that counts
+degrees, and BCK5 as a mask, both on the gather kernel :func:`grid_masks`.
+The BCK1 kernel skips the triples with x*y = 0 of a table whose row 0 is
+zero: there ((x*y)*(x*z))*(z*y) = 0*(z*y) = 0, so none of them is a
+witness, and it still reports the first one.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import contextlib
 import functools
 import itertools
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -144,26 +144,26 @@ _BLOCK_CELLS = 1 << 20
 _BCK1_BLOCK_CELLS = 1 << 14
 
 
-def grid_masks(t: np.ndarray, arity: int, mask):
-    """The gather kernel: evaluate ``mask`` over A^arity in row-major blocks.
+def grid_masks(stack: np.ndarray, arity: int, mask, bounds=None):
+    """The gather kernel: evaluate ``mask`` over A^arity in row-major blocks
+    in each table of a (k, n, n) stack.
 
-    ``mask(t, *args)`` gets the table as an intp array (``BckAlgebra.array``)
-    and one array per variable, broadcast over at most ``_BLOCK_CELLS``
-    assignments, and returns a boolean array over them. Yields
+    ``mask(tables, *args)`` gets the stack and its ``bounds`` as one
+    :class:`_Tables` and one array per variable, broadcast over a block's
+    assignments, and returns a boolean array over them, after the table
+    axis that :class:`_Tables` gives a stack of more than one. Yields
     ``(start, mask)`` per block, ``start`` being the row-major index of its
     first assignment, so a block's first marked cell is also the
-    lexicographically first among those not yet seen.
-
-    ``t`` may also be a stack of k tables, a (k, n, n) array, which
-    ``mask`` then gets as a :class:`_Tables`. Each block then spans all k
-    tables, its mask has the table axis first, and the blocks hold about
-    ``_BLOCK_CELLS`` cells in all, but at least one per table.
+    lexicographically first among those not yet seen. The blocks hold
+    about ``_BLOCK_CELLS`` cells over all tables, but at least one per
+    table; an empty stack has no blocks.
     """
-    stacked = isinstance(t, np.ndarray) and t.ndim == 3
-    n = t.shape[-1] if stacked else len(t)
-    cells = max(1, _BLOCK_CELLS // max(1, len(t))) if stacked else _BLOCK_CELLS
+    if not len(stack):
+        return
+    n = stack.shape[-1]
+    cells = max(1, _BLOCK_CELLS // len(stack))
     if n**arity <= cells:
-        yield 0, mask(_Tables(t, arity) if stacked else t, *_axes(n, arity))
+        yield 0, mask(_Tables(stack, arity, bounds), *_axes(n, arity))
         return
     # the last `inner` variables span A in every block, the one before them
     # a slice of A, and any earlier ones are fixed
@@ -172,23 +172,29 @@ def grid_masks(t: np.ndarray, arity: int, mask):
         inner += 1
     step = cells // n**inner
     head, *axes = _axes(n, inner + 1)
-    tables = _Tables(t, inner + 1) if stacked else t
+    tables = _Tables(stack, inner + 1, bounds)
     for i, prefix in enumerate(itertools.product(range(n), repeat=arity - 1 - inner)):
         for lo in range(0, n, step):
             yield (i * n + lo) * n**inner, mask(tables, *prefix, head[lo : lo + step], *axes)
 
 
 class _Tables:
-    """A stack of tables, a (k, n, n) array, read as one table by the masks
-    of :func:`grid_masks`: ``tables[x, y]`` is x*y in every table at once,
-    with the table axis first and the grid's ``dims`` axes after it."""
+    """A (k, n, n) stack read as one algebra by the term evaluator in the
+    masks of :func:`grid_masks`: ``op(x, y)`` is x*y, and ``bound`` the
+    greatest element (None if not given), in every table at once. A stack
+    of one is read as its table, by two-index gathers and with an int
+    bound; a larger one puts a table axis before the grid's ``dims`` axes."""
 
-    def __init__(self, stack: np.ndarray, dims: int):
-        self.stack = stack
-        self.ks = np.arange(len(stack)).reshape((-1,) + (1,) * dims)
+    def __init__(self, stack: np.ndarray, dims: int, bounds=None):
+        if len(stack) == 1:
+            self.table, self.ks = stack[0], None
+            self.bound = None if bounds is None else int(bounds[0])
+        else:
+            self.table, self.ks = stack, np.arange(len(stack)).reshape((-1,) + (1,) * dims)
+            self.bound = None if bounds is None else np.asarray(bounds).reshape(self.ks.shape)
 
-    def __getitem__(self, cell):
-        return self.stack[(self.ks, *cell)]
+    def op(self, x, y):
+        return self.table[x, y] if self.ks is None else self.table[self.ks, x, y]
 
 
 @functools.lru_cache(maxsize=64)
@@ -199,21 +205,18 @@ def _axes(n: int, count: int) -> tuple[np.ndarray, ...]:
     return tuple(a.reshape((n,) + (1,) * (count - 1 - i)) for i in range(count))
 
 
-def _holding_blocks(t: np.ndarray, eq, bound=None):
-    """Where ``eq`` holds: the blocks of :func:`grid_masks` over a table or a
-    stack, by the term evaluator on gathers. ``bound`` is the table's
-    greatest element, or an array of each table's; None if ``eq`` needs none."""
+def _holding_blocks(stack: np.ndarray, eq, bounds=None):
+    """Where ``eq`` holds: the blocks of :func:`grid_masks` over a (k, n, n)
+    stack, by the term evaluator on gathers. ``bounds`` holds each table's
+    greatest element, or is None if ``eq`` needs none."""
 
     def holding(tables, *args):
-        stacked = isinstance(tables, _Tables)
-        b = bound.reshape(tables.ks.shape) if stacked and bound is not None else bound
-        gathers = SimpleNamespace(op=lambda x, y: tables[x, y], bound=b)
-        value = holds(gathers, eq, dict(zip(eq.vars, args)))
-        if stacked and np.ndim(value) < tables.ks.ndim:  # it read no cell: the same in every table
+        value = holds(tables, eq, dict(zip(eq.vars, args)))
+        if np.ndim(value) < np.ndim(tables.ks):  # it read no cell: the same in every table
             value = value & np.ones(tables.ks.shape, bool)
         return value
 
-    return grid_masks(t, eq.arity, holding)
+    return grid_masks(stack, eq.arity, holding, bounds)
 
 
 # The axiom classes after BCK1, in report order: BCK2-BCK4 and X0 as
@@ -228,7 +231,7 @@ _AXIOM_CLASSES = (
 
 
 def _bck5_holds(t, x, y):  # x*y = 0 and y*x = 0 only if x = y
-    return (t[x, y] != 0) | (t[y, x] != 0) | (x == y)
+    return (t.op(x, y) != 0) | (t.op(y, x) != 0) | (x == y)
 
 
 def _stack_witnesses(stack: np.ndarray):

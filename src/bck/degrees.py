@@ -88,23 +88,24 @@ def ds(algebra: BckAlgebra, eq: Equation, jobs: int = 1) -> Degree:
     """Degree of satisfiability: the fraction of assignment tuples in A^k
     satisfying the equation, by exhaustive enumeration.
 
-    The tuples are counted block by block with the gather kernel, so peak
-    memory does not grow with n^k. ``jobs`` is accepted and has no effect:
-    the kernel beat the former process pool at every size.
+    The algebra is counted as a stack of one by :func:`ds_stack`, block by
+    block with the gather kernel, so peak memory does not grow with n^k.
+    ``jobs`` is accepted and has no effect: the kernel beat the former
+    process pool at every size.
     """
-    blocks = _holding_blocks(algebra.array, eq, algebra.bound)
-    count = sum(int(np.count_nonzero(mask)) for _, mask in blocks)
-    return Degree(count, algebra.order**eq.arity)
+    bounds = None if algebra.bound is None else [algebra.bound]
+    return Degree(ds_stack(algebra.array[None], eq, bounds)[0], algebra.order**eq.arity)
 
 
-def ds_stack(stack: np.ndarray, eq: Equation, bounds: np.ndarray | None = None) -> list[int]:
+def ds_stack(stack: np.ndarray, eq: Equation, bounds=None) -> list[int]:
     """How many assignments satisfy ``eq`` in each table of a (k, n, n) stack
     of algebras: :func:`ds`'s counts for a whole catalog in one pass of the
     same evaluator and kernel, with a table axis. ``bounds`` holds
     each table's greatest element, or is None when ``eq`` needs none."""
     counts = np.zeros(len(stack), np.intp)
     for _, mask in _holding_blocks(stack, eq, bounds):
-        counts += np.count_nonzero(mask, axis=tuple(range(1, mask.ndim)))
+        # a stack of one's masks have no table axis: the reshape gives it one
+        counts += np.count_nonzero(np.reshape(mask, (len(stack), -1)), axis=1)
     return counts.tolist()
 
 

@@ -356,10 +356,6 @@ class Catalog:
     order: int
     entries: tuple[CatalogEntry, ...]
 
-    @property
-    def algebras(self) -> list[BckAlgebra]:
-        return [e.algebra for e in self.entries]
-
     def __len__(self) -> int:
         return len(self.entries)
 

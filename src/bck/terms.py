@@ -15,6 +15,7 @@ x & y = y.(y.x), '|' the derived join x | y = ~(~x & ~y), '~' the derived
 negation ~x = 1.x. Precedence ~ > . > & > |; infix operators associate
 left. Identifiers are variables. Derived operators are expanded at
 evaluation time, never precompiled into tables.
+A term nested deeper than ``MAX_DEPTH`` levels is a syntax error.
 """
 
 from __future__ import annotations
@@ -68,6 +69,9 @@ class Neg:
 
 Term = Union[Var, Zero, One, BDot, Meet, Join, Neg]
 
+# The infix operators by symbol, with their precedence and node.
+_INFIX = {"|": (1, Join), "&": (2, Meet), ".": (3, BDot)}
+
 
 class EquationSyntaxError(ValueError):
     def __init__(self, message: str, position: int):
@@ -77,6 +81,15 @@ class EquationSyntaxError(ValueError):
 
 class UnboundVariableError(KeyError):
     pass
+
+
+# The most operators on a path from a term's root to a leaf, and the most
+# parentheses and negations open at once while it is read: the parser,
+# free_vars, the evaluator and the printer recurse once per level (the parser
+# up to six times per parenthesis), so such terms stay well inside Python's
+# recursion limit.
+MAX_DEPTH = 100
+_TOO_DEEP = f"term nested deeper than {MAX_DEPTH} levels"
 
 
 def free_vars(term: Term) -> tuple[str, ...]:
@@ -147,6 +160,8 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.open = 0  # parentheses and negations being read
+        self.depth = 0  # of the term last read
 
     def peek(self) -> str | None:
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -166,6 +181,18 @@ class _Parser:
             raise EquationSyntaxError(f"expected {kind!r}", self.here())
         self.advance()
 
+    def nest(self) -> None:
+        # one more parenthesis or negation open, which the parser recurses into
+        self.open += 1
+        if self.open > MAX_DEPTH:
+            raise EquationSyntaxError(_TOO_DEEP, self.here())
+
+    def deepen(self, depth: int, at: int) -> None:
+        # the depth of the term just built by the operator at position at
+        if depth > MAX_DEPTH:
+            raise EquationSyntaxError(_TOO_DEEP, at)
+        self.depth = depth
+
     def parse_equation(self) -> Equation:
         lhs = self.parse_expr()
         self.expect("=")
@@ -174,37 +201,28 @@ class _Parser:
             raise EquationSyntaxError("trailing input after equation", self.here())
         return make_equation(lhs, rhs)
 
-    def parse_expr(self) -> Term:
-        return self.parse_join()
-
-    def parse_join(self) -> Term:
-        t = self.parse_meet()
-        while self.peek() == "|":
-            self.advance()
-            t = Join(t, self.parse_meet())
-        return t
-
-    def parse_meet(self) -> Term:
-        t = self.parse_dot()
-        while self.peek() == "&":
-            self.advance()
-            t = Meet(t, self.parse_dot())
-        return t
-
-    def parse_dot(self) -> Term:
+    def parse_expr(self, least: int = 1) -> Term:
+        # by precedence climbing: a term whose infix operators outside
+        # parentheses have precedence >= least, each left-associative
         t = self.parse_unary()
-        while self.peek() == ".":
-            self.advance()
-            t = BDot(t, self.parse_unary())
+        while (infix := _INFIX.get(self.peek())) and infix[0] >= least:
+            at, depth = self.advance()[2], self.depth
+            t = infix[1](t, self.parse_expr(infix[0] + 1))
+            self.deepen(max(depth, self.depth) + 1, at)
         return t
 
     def parse_unary(self) -> Term:
         if self.peek() == "~":
-            self.advance()
-            return Neg(self.parse_unary())
+            self.nest()
+            at = self.advance()[2]
+            t = Neg(self.parse_unary())
+            self.open -= 1
+            self.deepen(self.depth + 1, at)
+            return t
         return self.parse_atom()
 
     def parse_atom(self) -> Term:
+        self.depth = 0  # a leaf, or a parenthesized term read below
         kind = self.peek()
         if kind == "0":
             self.advance()
@@ -215,20 +233,23 @@ class _Parser:
         if kind == "ident":
             return Var(self.advance()[1])
         if kind == "(":
+            self.nest()
             self.advance()
             t = self.parse_expr()
             self.expect(")")
+            self.open -= 1
             return t
         raise EquationSyntaxError("expected a term", self.here())
 
 
 def parse(text: str) -> Equation:
-    """Parse one equation; raises :class:`EquationSyntaxError` with position."""
+    """Parse one equation; raises :class:`EquationSyntaxError` with position,
+    also for a term nested deeper than ``MAX_DEPTH``."""
     return _Parser(text).parse_equation()
 
 
-_PREC = {Join: 1, Meet: 2, BDot: 3}
-_OP_CHAR = {Join: "|", Meet: "&", BDot: "."}
+_PREC = {node: prec for prec, node in _INFIX.values()}
+_OP_CHAR = {node: symbol for symbol, (_, node) in _INFIX.items()}
 
 
 def _pretty_term(t: Term, parent_prec: int, is_right: bool) -> str:

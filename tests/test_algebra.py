@@ -478,7 +478,7 @@ def test_grid_masks_blocks_follow_row_major_order():
         return mask
 
     seen, hits = 0, []
-    for start, mask in algebra.grid_masks(chain(2).table, arity, fails):
+    for start, mask in algebra.grid_masks(chain(2).array[None], arity, fails):
         assert start == seen and 0 < mask.size <= _BLOCK_CELLS
         seen += mask.size
         hits += [start + int(i) for i in np.flatnonzero(mask)]

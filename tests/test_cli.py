@@ -123,6 +123,28 @@ def test_degree_bad_equation_is_usage_error(capsys, pi_file):
     assert code == 2
 
 
+DEEP_TERMS = ["~" * 3000 + "x", "(" * 3000 + "x" + ")" * 3000, " . ".join(["x"] * 3000)]
+
+
+@pytest.mark.parametrize("term", DEEP_TERMS, ids=["negations", "parentheses", "chain"])
+def test_equations_nested_too_deep_exit_2(capsys, pi_file, term):
+    # a term nested past terms.MAX_DEPTH is a syntax error, not a RecursionError
+    for argv in (["degree", pi_file], ["gap", "--max-n", "5"]):
+        code, out, err = run(capsys, *argv, "--eq", term + " = x")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: term nested deeper than 100 levels (at position ")
+
+
+def test_equation_nested_too_deep_exits_2_from_a_fresh_process(pi_file):
+    for term in DEEP_TERMS:
+        argv = ["degree", pi_file, "--eq", term + " = x"]
+        proc = _fresh_python(f"import sys\nfrom bck.cli import main\nsys.exit(main({argv!r}))")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: term nested deeper")
+        assert len(proc.stderr.splitlines()) == 1
+
+
 def test_family_writes_table(capsys, tmp_path):
     out = tmp_path / "m3.tbl"
     code, _, _ = run(capsys, "family", "--name", "M", "--n", "3", "--out", str(out))
@@ -449,6 +471,28 @@ def test_audit_rejects_catalog_table_of_another_order(capsys, tmp_path):
     code, out, err = run(capsys, "audit", "--order", "3", "--catalog", str(out_dir))
     assert code == 2 and out == ""
     assert "has order 4, but the catalog index says 3" in err
+
+
+def test_catalog_without_bounded_tables_reports_no_bounded_degrees(capsys, tmp_path):
+    # a catalog that lists only the unbounded table of order 3: the bounded
+    # kinds count over a stack of no tables
+    out_dir = tmp_path / "cat3"
+    run(capsys, "enumerate", "--order", "3", "--out", str(out_dir))
+    index = json.loads((out_dir / "index.json").read_text())
+    index["algebras"] = [e for e in index["algebras"] if e["bound"] is None]
+    assert len(index["algebras"]) == 1
+    (out_dir / "index.json").write_text(json.dumps(index))
+    for kind in ("emd", "dnd"):
+        code, out, err = run(capsys, "spectrum", "--order", "3", "--kind", kind, "--catalog", str(out_dir))
+        assert (code, err) == (0, "")
+        assert out.startswith(f"order 3, kind {kind}\n") and "\nachieved: \n" in out
+    # audit reads every kind; it fails only the decomposition conjecture,
+    # which holds for bounded algebras
+    code, out, err = run(capsys, "audit", "--order", "3", "--catalog", str(out_dir))
+    assert (code, err) == (1, "")
+    assert [line for line in out.splitlines() if "FAIL" in line] == [
+        "order 3: FAIL", "  FAIL chain_decomposition_commutative"
+    ]
 
 
 # --- usage text, pinned -------------------------------------------------------

@@ -12,12 +12,13 @@ from bck import algebra as algebra_module
 from bck import enumeration
 from bck.algebra import _CANON_BLOCK_CELLS, _check_small, _stack_canonical, _stack_ok
 from bck.cli import main as cli_main
-from bck.degrees import DEGREE_FUNCTIONS, DEGREE_KINDS, ds_stack
+from bck.degrees import DEGREE_FUNCTIONS, DEGREE_KINDS, ds, ds_stack
 from bck import (
     FAMILY_NAMES,
     Degree,
     EnumerationLimitError,
     MalformedTableError,
+    UnboundedAlgebraError,
     audit_bounds,
     automorphism_count,
     bck_union,
@@ -31,6 +32,7 @@ from bck import (
     enumerate_labeled_tables,
     family,
     from_table,
+    holds,
     iseki_extension,
     load_catalog,
     parse,
@@ -863,6 +865,8 @@ def test_stacked_witnesses_agree_with_check_small(monkeypatch, block_cells):
         expected = [_check_small(n, t) for t in stack.tolist()]
         assert _stack_reports(stack) == expected
         assert any(expected) and not all(expected)
+        # each table alone, as the stack of one that a single table's check reads
+        assert [_stack_reports(t[None])[0] for t in stack] == expected
 
 
 def test_stacked_flags_and_degrees_agree_with_per_algebra(catalogs_1_to_6):
@@ -890,6 +894,38 @@ def test_stacked_degrees_in_blocks(monkeypatch, catalog5):
         assert ds_stack(stack, eq) == [e.degrees[kind].count for e in catalog5.entries]
     x_is_x = parse("x = x")
     assert ds_stack(stack, x_is_x) == [5] * len(catalog5)
+
+
+@pytest.mark.parametrize("block_cells", [None, 7])
+def test_ds_of_a_table_is_its_count_in_a_mixed_stack(monkeypatch, block_cells):
+    # ds reads one table as the stack of one (two-index gathers, an int
+    # bound, no table axis); ds_stack reads it among others with a table
+    # axis. Both count what the tree walk counts on the algebra. With 7
+    # cells a block, ds's blocks are rows of the grid and ds_stack's one
+    # cell of each table.
+    if block_cells is not None:
+        monkeypatch.setattr(algebra_module, "_BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(20)
+    algebras = [family(name, 7) for name in ("C", "Q", "B", "M", "P", "Pprime")] + [d_algebra(6)]
+    algebras += [a.relabel([0, *(1 + rng.permutation(6)).tolist()]) for a in algebras]
+    # "x = x" reads no cell, "x | ~x = 1" needs a bound
+    for text in ("0 = 0", "x = x", "x | ~x = 1", "(x . y) & z = ~(z . (x . y))", "x . (y . z) = y & x"):
+        eq = parse(text)
+        needs_bound = "1" in text or "~" in text
+        held = [a for a in algebras if a.bound is not None] if needs_bound else algebras
+        bounds = np.array([a.bound for a in held]) if needs_bound else None
+        counts = ds_stack(np.stack([a.array for a in held]), eq, bounds)
+        for a, count in zip(held, counts):
+            want = sum(
+                holds(a, eq, dict(zip(eq.vars, xs)))
+                for xs in itertools.product(a.elements, repeat=eq.arity)
+            )
+            d = ds(a, eq)
+            assert (d.count, d.total) == (count, 7**eq.arity) and count == want, (text, a.table)
+        # a stack of no tables, as a catalog with no bounded table gives
+        assert ds_stack(np.zeros((0, 7, 7), np.intp), eq, bounds[:0] if needs_bound else None) == []
+    with pytest.raises(UnboundedAlgebraError):
+        ds(family("B", 7), parse("x | ~x = 1"))
 
 
 def test_load_catalog_memory_is_bounded(tmp_path):

@@ -21,7 +21,7 @@ from bck import (
     pretty_term,
     tc,
 )
-from bck.terms import BDot, Join, Meet, Neg, One, Var, Zero
+from bck.terms import MAX_DEPTH, BDot, Join, Meet, Neg, One, Var, Zero
 
 
 def test_parse_commutativity_equation():
@@ -69,6 +69,36 @@ def test_syntax_errors_carry_position():
         parse("x = y = z")
     with pytest.raises(EquationSyntaxError):
         parse("(x = x")
+
+
+# The three shapes of a term nested past MAX_DEPTH: negations,
+# parentheses, and a left-deep chain of one operator.
+DEEP_TERMS = {
+    "negations": lambda k: "~" * k + "x",
+    "parentheses": lambda k: "(" * k + "x" + ")" * k,
+    "chain": lambda k: " . ".join(["x"] * (k + 1)),
+}
+
+
+@pytest.mark.parametrize("shape", DEEP_TERMS)
+def test_terms_nested_past_the_cap_are_syntax_errors(shape):
+    term = DEEP_TERMS[shape]
+    for k in (MAX_DEPTH + 1, 3000):
+        for text in (term(k) + " = x", "x = " + term(k)):
+            with pytest.raises(EquationSyntaxError, match=f"deeper than {MAX_DEPTH} levels"):
+                parse(text)
+    # at the cap the term parses, prints and evaluates
+    eq = parse(term(MAX_DEPTH) + " = x")
+    assert parse(pretty(eq)) == eq
+    assert isinstance(holds(chain(3), eq, {"x": 2}), bool)
+
+
+def test_term_depth_adds_up_through_parentheses():
+    # 60 operators inside the parentheses and then 40 or 41 outside
+    inner = "(" + " . ".join(["x"] * 61) + ")"
+    parse(" . ".join([inner] + ["y"] * 40) + " = x")
+    with pytest.raises(EquationSyntaxError, match=f"deeper than {MAX_DEPTH} levels"):
+        parse(" . ".join([inner] + ["y"] * 41) + " = x")
 
 
 def test_builtins_parse_from_documented_strings():
