@@ -29,7 +29,7 @@ import bisect
 import contextlib
 import functools
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +54,7 @@ class BckAxiomError(ValueError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """Outcome of an exhaustive axiom check.
 
     ``violations`` holds one entry per violated axiom class, each with the
@@ -479,21 +478,56 @@ def _stack_canonical(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return canon, counts
 
 
-@dataclass(frozen=True)
 class BckAlgebra:
     """Immutable finite BCK-algebra.
 
-    ``array`` is the table as a read-only intp array, made once; equality,
-    hashing and repr ignore it. ``table[x][y]``, its tuple view, is x*y.
-    ``bound`` is the greatest element when one exists (unique by BCK5), else
-    None. Instances are safe to share across workers; all operations are
-    pure. Use :func:`from_table` to construct with validation.
+    ``array`` is the table as a read-only intp array, made once.
+    ``table[x][y]``, its tuple view, is x*y; it is made from ``array`` when
+    first read, unless given. Equality and hashing read the order, the
+    bound and the array's bytes, and repr the order, the table and the
+    bound. ``bound`` is the greatest element when one exists (unique by
+    BCK5), else None. Instances are safe to share across workers; all
+    operations are pure. Use :func:`from_table` to construct with
+    validation.
     """
 
-    order: int
-    table: tuple[tuple[int, ...], ...]
-    bound: int | None
-    array: np.ndarray = field(compare=False, repr=False)
+    __slots__ = ("order", "_table", "bound", "array")
+    __match_args__ = ("order", "table", "bound", "array")
+
+    def __init__(self, order: int, table: tuple[tuple[int, ...], ...] | None, bound: int | None,
+                 array: np.ndarray):
+        _set = object.__setattr__
+        _set(self, "order", order)
+        _set(self, "_table", table)
+        _set(self, "bound", bound)
+        _set(self, "array", array)
+
+    @property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        if self._table is None:
+            object.__setattr__(self, "_table", tuple(map(tuple, self.array.tolist())))
+        return self._table
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BckAlgebra):
+            return NotImplemented
+        return (self.order, self.bound, self.array.tobytes()) == (
+            other.order, other.bound, other.array.tobytes())
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.bound, self.array.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"BckAlgebra(order={self.order!r}, table={self.table!r}, bound={self.bound!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _build, (self.order, self.array)
 
     @property
     def elements(self) -> range:
@@ -695,7 +729,7 @@ def _build(order: int, table) -> BckAlgebra:
     t.flags.writeable = False
     zero_columns = ~t.any(axis=0)  # the bound m has x*m = 0 for every x
     bound = int(zero_columns.argmax()) if zero_columns.any() else None
-    return BckAlgebra(order, tuple(map(tuple, t.tolist())), bound, t)
+    return BckAlgebra(order, None, bound, t)
 
 
 def _build_stack(stack: np.ndarray) -> list[BckAlgebra]:
@@ -705,7 +739,4 @@ def _build_stack(stack: np.ndarray) -> list[BckAlgebra]:
     order = stack.shape[-1]
     zero_columns = ~stack.any(axis=1)
     bounds = np.where(zero_columns.any(axis=1), zero_columns.argmax(axis=1), -1).tolist()
-    return [
-        BckAlgebra(order, tuple(map(tuple, rows)), None if bound < 0 else bound, t)
-        for t, rows, bound in zip(stack, stack.tolist(), bounds)
-    ]
+    return [BckAlgebra(order, None, None if bound < 0 else bound, t) for t, bound in zip(stack, bounds)]

@@ -9,9 +9,7 @@ The studied degree kinds are declared once, in ``DEGREE_KINDS``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import total_ordering
 from typing import NamedTuple
 
 import numpy as np
@@ -36,24 +34,27 @@ class DecompositionError(RuntimeError):
     """
 
 
-@total_ordering
-@dataclass(frozen=True)
-class Degree:
-    """Exact satisfaction ratio: ``count`` satisfying tuples out of ``total``.
-
-    Equality and ordering compare the reduced rational values, so
-    Degree(7, 9) == Fraction(7, 9) and Degree(2, 4) == Degree(1, 2).
-    ``note`` carries a hypothesis warning when present and never affects
-    comparisons.
-    """
-
+class _DegreeFields(NamedTuple):
     count: int
     total: int
-    note: str | None = field(default=None, compare=False)
+    note: str | None = None
 
-    def __post_init__(self):
-        if self.total <= 0 or not 0 <= self.count <= self.total:
-            raise ValueError(f"bad degree {self.count}/{self.total}")
+
+class Degree(_DegreeFields):
+    """Exact satisfaction ratio: ``count`` satisfying tuples out of ``total``.
+
+    Equality, hashing and all six comparisons go by the reduced rational
+    value, so Degree(7, 9) == Fraction(7, 9) and Degree(2, 4) <= Degree(1, 2).
+    ``note`` carries a hypothesis warning when present and never affects
+    them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, count: int, total: int, note: str | None = None):
+        if total <= 0 or not 0 <= count <= total:
+            raise ValueError(f"bad degree {count}/{total}")
+        return tuple.__new__(cls, (count, total, note))
 
     @property
     def fraction(self) -> Fraction:
@@ -64,24 +65,44 @@ class Degree:
         return str(self.fraction)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Degree):
-            return self.fraction == other.fraction
-        if isinstance(other, (Fraction, int)):
-            return self.fraction == other
-        return NotImplemented
+        value = _rational(other)
+        return NotImplemented if value is None else self.fraction == value
+
+    def __ne__(self, other) -> bool:
+        value = _rational(other)
+        return NotImplemented if value is None else self.fraction != value
 
     def __lt__(self, other) -> bool:
-        if isinstance(other, Degree):
-            return self.fraction < other.fraction
-        if isinstance(other, (Fraction, int)):
-            return self.fraction < other
-        return NotImplemented
+        value = _rational(other)
+        return NotImplemented if value is None else self.fraction < value
+
+    def __le__(self, other) -> bool:
+        value = _rational(other)
+        return NotImplemented if value is None else self.fraction <= value
+
+    def __gt__(self, other) -> bool:
+        value = _rational(other)
+        return NotImplemented if value is None else self.fraction > value
+
+    def __ge__(self, other) -> bool:
+        value = _rational(other)
+        return NotImplemented if value is None else self.fraction >= value
 
     def __hash__(self) -> int:
         return hash(self.fraction)
 
     def to_json(self) -> dict:
         return {"count": self.count, "total": self.total, "reduced": self.reduced}
+
+
+def _rational(x) -> Fraction | int | None:
+    # what a Degree compares with: a Degree's value, a Fraction or an int;
+    # None for anything else
+    if isinstance(x, Degree):
+        return x.fraction
+    if isinstance(x, (Fraction, int)):
+        return x
+    return None
 
 
 def ds(algebra: BckAlgebra, eq: Equation, jobs: int = 1) -> Degree:
@@ -208,8 +229,7 @@ def chain_degrees(eq: Equation, max_n: int) -> list[Degree]:
     return [ds(chain(n), eq) for n in range(2, max_n + 1)]
 
 
-@dataclass(frozen=True)
-class GapEvidence:
+class GapEvidence(NamedTuple):
     """Chain-sequence evidence for a satisfiability gap.
 
     ``sequence`` holds the chain degrees d_2..d_max_n. ``sub_one_max`` is
@@ -251,8 +271,7 @@ def gap_evidence(eq: Equation, max_n: int) -> GapEvidence:
     return GapEvidence(eq, max_n, tuple(seq), best, monotone)
 
 
-@dataclass(frozen=True)
-class ChainDecomposition:
+class ChainDecomposition(NamedTuple):
     """Multiset of chain lengths whose direct product is isomorphic to the
     input; empty for the one-element algebra. Lengths are all >= 2 and
     their product is the algebra order. :func:`decompose_commutative`

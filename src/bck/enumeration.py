@@ -63,8 +63,8 @@ import json
 import os
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -327,8 +327,7 @@ def enumerate_labeled_tables(n: int, max_nodes: int | None = None) -> list[tuple
     return [tuple(map(tuple, table)) for table in stack.tolist()]
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     algebra: BckAlgebra
     linear: bool
     commutative: bool
@@ -348,16 +347,39 @@ class CatalogEntry:
         }
 
 
-@dataclass(frozen=True)
 class Catalog:
     """All order-n BCK-algebras in canonical form, lexicographically sorted,
-    with property flags and degree profiles."""
+    with property flags and degree profiles. Immutable; its length is the
+    number of entries."""
 
-    order: int
-    entries: tuple[CatalogEntry, ...]
+    __slots__ = __match_args__ = ("order", "entries")
+
+    def __init__(self, order: int, entries: tuple[CatalogEntry, ...]):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "entries", entries)
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Catalog):
+            return NotImplemented
+        return (self.order, self.entries) == (other.order, other.entries)
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.entries))
+
+    def __repr__(self) -> str:
+        return f"Catalog(order={self.order!r}, entries={self.entries!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Catalog, (self.order, self.entries)
 
 
 class _CatalogDegrees(dict):
@@ -448,8 +470,7 @@ def enumerate_algebras(n: int, jobs: int = 1, max_nodes: int | None = None) -> C
     return Catalog(n, _profile(canon.reshape(-1, n, n)))
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     """Achieved degree values of one kind across a catalog.
 
     ``possible`` is populated for the two kinds with a stated candidate
@@ -505,8 +526,7 @@ def spectrum(catalog: Catalog, kind: str) -> SpectrumReport:
     return SpectrumReport(catalog.order, kind, possible, achieved, missing, outside, witnesses)
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     """Whether every candidate dnd and cd value at this order is achieved."""
 
     order: int
@@ -524,15 +544,13 @@ def verify_conjectures(catalog: Catalog) -> ConjectureReport:
     return ConjectureReport(catalog.order, spectrum(catalog, "dnd"), spectrum(catalog, "cd"))
 
 
-@dataclass(frozen=True)
-class AuditCheck:
+class AuditCheck(NamedTuple):
     name: str
     passed: bool
     counterexamples: tuple[tuple[tuple[tuple[int, ...], ...], str], ...]
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     order: int
     checks: tuple[AuditCheck, ...]
 

@@ -20,51 +20,87 @@ A term nested deeper than ``MAX_DEPTH`` levels is a syntax error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import Union
+from typing import NamedTuple, Union
 
 
 class UnboundedAlgebraError(ValueError):
     """Operation requires a greatest element but the algebra has none."""
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class _Node:
+    """A term node: immutable, equal only to a node of its own type with equal
+    fields, and hashed by both. ``__match_args__`` lists the fields in order."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _Node):
+            return NotImplemented
+        return type(self) is type(other) and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash((type(self), *self._values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
-@dataclass(frozen=True)
-class Zero:
-    pass
+class Var(_Node):
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class One:
-    pass
+class Zero(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BDot:
-    left: "Term"
-    right: "Term"
+class One(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Meet:
-    left: "Term"
-    right: "Term"
+class _Binary(_Node):
+    # an infix operator's node: BDot, Meet or Join
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Term, right: Term):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Join:
-    left: "Term"
-    right: "Term"
+class BDot(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Neg:
-    child: "Term"
+class Meet(_Binary):
+    __slots__ = ()
+
+
+class Join(_Binary):
+    __slots__ = ()
+
+
+class Neg(_Node):
+    __slots__ = __match_args__ = ("child",)
+
+    def __init__(self, child: Term):
+        object.__setattr__(self, "child", child)
 
 
 Term = Union[Var, Zero, One, BDot, Meet, Join, Neg]
@@ -87,7 +123,7 @@ class UnboundVariableError(KeyError):
 # parentheses and negations open at once while it is read: the parser,
 # free_vars, the evaluator and the printer recurse once per level (the parser
 # up to six times per parenthesis), so such terms stay well inside Python's
-# recursion limit.
+# recursion limit. make_equation holds a term built in code to the same cap.
 MAX_DEPTH = 100
 _TOO_DEEP = f"term nested deeper than {MAX_DEPTH} levels"
 
@@ -100,7 +136,7 @@ def free_vars(term: Term) -> tuple[str, ...]:
         if isinstance(t, Var):
             if t.name not in out:
                 out.append(t.name)
-        elif isinstance(t, (BDot, Meet, Join)):
+        elif isinstance(t, _Binary):
             walk(t.left)
             walk(t.right)
         elif isinstance(t, Neg):
@@ -110,8 +146,22 @@ def free_vars(term: Term) -> tuple[str, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Equation:
+def _check_depth(*terms: Term) -> None:
+    # ValueError if a path from a root of ``terms`` to a leaf has more than
+    # MAX_DEPTH operators; walked with a stack, since the terms may be deeper
+    # than Python's recursion limit
+    todo = [(t, 0) for t in terms]  # a node and the operators above it
+    while todo:
+        t, above = todo.pop()
+        if above > MAX_DEPTH:
+            raise ValueError(_TOO_DEEP)
+        if isinstance(t, _Binary):
+            todo += (t.left, above + 1), (t.right, above + 1)
+        elif isinstance(t, Neg):
+            todo.append((t.child, above + 1))
+
+
+class Equation(NamedTuple):
     """A pair of terms; ``vars`` lists the free variables of both sides in
     first-occurrence order (left side first)."""
 
@@ -125,6 +175,9 @@ class Equation:
 
 
 def make_equation(lhs: Term, rhs: Term) -> Equation:
+    """The equation lhs = rhs. Raises ValueError if either side is nested
+    deeper than ``MAX_DEPTH`` levels, as :func:`parse` does."""
+    _check_depth(lhs, rhs)
     return Equation(lhs, rhs, free_vars(BDot(lhs, rhs)))  # lhs's variables first
 
 

@@ -18,6 +18,7 @@ from bck import (
     check_axioms,
     d_algebra,
     direct_product,
+    enumerate_algebras,
     enumerate_labeled_tables,
     family,
     from_table,
@@ -204,6 +205,24 @@ def test_array_is_the_table():
     assert type(alg.bound) is int and all(type(a) is int for a in alg.atoms())
     assert all(type(v) is int for row in alg.table for v in row)
     json.dumps([alg.table, alg.bound, flags, sorted(alg.atoms())])
+
+
+def test_equality_and_hash_do_not_read_the_table():
+    # the tuple view is made when first read, and equality and hashing go by
+    # the order, the bound and the array's bytes
+    for make in (pi, tc, lambda: chain(7), lambda: family("B", 9)):
+        unread, read = make(), make()
+        assert read.table and read._table is not None
+        assert unread == read and hash(unread) == hash(read) and unread._table is None
+        assert repr(unread) == repr(read) and unread._table is not None
+    assert pi() != tc() and pi() != from_table(3, UNION_22_TABLE)
+    assert repr(pi()) == "BckAlgebra(order=3, table=((0, 0, 0), (1, 0, 0), (2, 2, 0)), bound=2)"
+    # a catalog's algebras, built from its stack, make their views when read too
+    catalog = enumerate_algebras(4)
+    assert all(e.algebra._table is None for e in catalog.entries)
+    assert [e.algebra.table for e in catalog.entries] == [
+        tuple(map(tuple, t)) for t in np.stack([e.algebra.array for e in catalog.entries]).tolist()
+    ]
 
 
 def test_flags_and_atoms_match_their_definitions(small_catalogs):

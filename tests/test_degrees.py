@@ -48,6 +48,14 @@ def test_degree_equality_is_cross_multiplied():
     assert Degree(9, 9) == 1
     assert hash(Degree(2, 4)) == hash(Degree(1, 2)) == hash(Fraction(1, 2))
     assert Degree(1, 3) < Degree(1, 2) < Degree(2, 3)
+    # all six comparisons go by value, never by the (count, total, note) fields
+    assert Degree(2, 4) <= Degree(1, 2) and Degree(1, 2) >= Degree(2, 4)
+    assert not Degree(2, 4) < Degree(1, 2) and not Degree(1, 2) > Degree(2, 4)
+    assert not Degree(2, 4) != Degree(1, 2) and Degree(1, 3) != Degree(1, 2)
+    assert Degree(3, 4) > Degree(2, 3) >= Fraction(4, 6) and Degree(1, 3) <= 1 <= Degree(2, 2)
+    assert Degree(1, 2, note="noted") == Degree(2, 4) and hash(Degree(1, 2, note="noted")) == hash(Degree(2, 4))
+    assert sorted([Degree(2, 3), Degree(2, 4), Degree(1, 3)]) == [Degree(1, 3), Degree(1, 2), Degree(2, 3)]
+    assert repr(Degree(7, 9)) == "Degree(count=7, total=9, note=None)"
     assert Degree(7, 9).reduced == "7/9"
     assert Degree(9, 9).reduced == "1"
 

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import multiprocessing
+import pickle
 import shutil
 import tracemalloc
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from bck import algebra as algebra_module
-from bck import enumeration
+from bck import enumeration, terms
 from bck.algebra import _CANON_BLOCK_CELLS, _check_small, _stack_canonical, _stack_ok
 from bck.cli import main as cli_main
 from bck.degrees import DEGREE_FUNCTIONS, DEGREE_KINDS, ds, ds_stack
@@ -27,11 +28,13 @@ from bck import (
     chain,
     check_axioms,
     d_algebra,
+    decompose_commutative,
     direct_product,
     enumerate_algebras,
     enumerate_labeled_tables,
     family,
     from_table,
+    gap_evidence,
     holds,
     iseki_extension,
     load_catalog,
@@ -55,13 +58,45 @@ def test_enumerate_tiny_orders():
 
 
 def test_enumerate_order_3_exact_classes(catalog3):
-    assert len(catalog3) == 3
+    assert len(catalog3) == len(catalog3.entries) == 3
     expected = {
         tc().canonical_form(),
         pi().canonical_form(),
         bck_union(two(), two()).canonical_form(),
     }
     assert {e.algebra.table for e in catalog3.entries} == expected
+
+
+def _records(catalog3):
+    # one instance of each public record type of the package, by name
+    x, y = terms.Var("x"), terms.Var("y")
+    audit = audit_bounds(catalog3)
+    out = [x, terms.Zero(), terms.One(), terms.BDot(x, y), terms.Meet(x, y), terms.Join(x, y),
+           terms.Neg(x), parse("x . y = x"), check_axioms(3, [[0, 0, 0], [1, 0, 0], [2, 2, 0]]),
+           pi(), Degree(1, 2), gap_evidence(builtin("EM"), 5), decompose_commutative(tc()),
+           catalog3, catalog3.entries[0], spectrum(catalog3, "dnd"), verify_conjectures(catalog3),
+           audit.checks[0], audit]
+    return {type(r).__name__: r for r in out}
+
+
+RECORDS = ["Var", "Zero", "One", "BDot", "Meet", "Join", "Neg", "Equation", "AxiomReport",
+           "BckAlgebra", "Degree", "GapEvidence", "ChainDecomposition", "Catalog", "CatalogEntry",
+           "SpectrumReport", "ConjectureReport", "AuditCheck", "AuditReport"]
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_immutable_and_pickle(catalog3, name):
+    record = _records(catalog3)[name]
+    fields = type(record).__match_args__
+    assert fields or name in ("Zero", "One")
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = None
+    assert pickle.loads(pickle.dumps(record)) == record
 
 
 def test_enumerate_order_3_against_no_pruning_oracle(catalog3):

@@ -101,6 +101,36 @@ def test_term_depth_adds_up_through_parentheses():
         parse(" . ".join([inner] + ["y"] * 41) + " = x")
 
 
+def test_make_equation_refuses_terms_past_the_cap():
+    # built in code, a term may be deeper than the parser allows and than
+    # Python's recursion limit; the depth is checked without recursing
+    chain_term = Var("x")
+    for _ in range(3000):
+        chain_term = BDot(chain_term, Var("y"))
+    negations = Var("x")
+    for _ in range(MAX_DEPTH + 1):
+        negations = Neg(negations)
+    for deep in (chain_term, negations, Join(Zero(), negations)):
+        for lhs, rhs in ((deep, Var("x")), (Var("x"), deep)):
+            with pytest.raises(ValueError, match=f"deeper than {MAX_DEPTH} levels"):
+                make_equation(lhs, rhs)
+    # at the cap it makes an equation that prints, parses back and evaluates
+    eq = make_equation(negations.child, Var("x"))
+    assert parse(pretty(eq)) == eq and eq.vars == ("x",)
+    assert isinstance(holds(chain(3), eq, {"x": 2}), bool)
+
+
+def test_term_equality_and_hash_depend_on_the_node_type():
+    x, y = Var("x"), Var("y")
+    assert BDot(x, y) != Meet(x, y) and Meet(x, y) != Join(x, y) and BDot(x, y) != Join(x, y)
+    assert Zero() != One() and not Zero() == One()
+    assert len({BDot(x, y), Meet(x, y), Join(x, y), Zero(), One()}) == 5
+    assert BDot(x, y) == BDot(Var("x"), Var("y")) and Zero() == Zero() and Var("x") != y
+    assert hash(BDot(x, Neg(y))) == hash(BDot(Var("x"), Neg(Var("y"))))
+    assert repr(BDot(x, Neg(One()))) == "BDot(left=Var(name='x'), right=Neg(child=One()))"
+    assert repr(parse("x = 0")) == "Equation(lhs=Var(name='x'), rhs=Zero(), vars=('x',))"
+
+
 def test_builtins_parse_from_documented_strings():
     for name, text in BUILTIN_EQUATIONS.items():
         assert builtin(name) == parse(text)
