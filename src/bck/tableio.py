@@ -26,6 +26,14 @@ from .algebra import BckAlgebra, _checked, _validate_shape
 # ask for; a table of this order has about a million cells.
 MAX_ORDER = 1024
 
+# Most assignments `degree --eq` (n^k for k variables on order n) or
+# `gap --eq` (the sum of n^k over chains 2..max_n) may ask for. At the
+# 56-137 million assignments a second measured on a 2-vCPU VM, 2^32 takes
+# 30-80 s; variables are free, so a 10-variable equation on C40 would ask
+# for 40^10, about 10^16. It sits far above the benchmark's largest count,
+# 60^3 = 216,000, and a 3-variable equation at order 128, 2,097,152.
+MAX_ASSIGNMENTS = 2**32
+
 # Most bytes a table file or catalog index may hold: a written table of
 # order 1024 takes about 5.2 MB, the rest is room for comments.
 MAX_FILE_BYTES = 64 << 20

@@ -145,6 +145,42 @@ def test_equation_nested_too_deep_exits_2_from_a_fresh_process(pi_file):
         assert len(proc.stderr.splitlines()) == 1
 
 
+def _variables(k):
+    return " . ".join(f"x{i}" for i in range(k))
+
+
+def test_degree_eq_above_assignment_cap_exits_2(capsys, monkeypatch, tmp_path):
+    # n^k assignments are refused above tableio.MAX_ASSIGNMENTS = 2^32 before
+    # any is evaluated; 2^32 itself is counted
+    from bck import Degree
+
+    def stub(algebra, eq):
+        return Degree(1, algebra.order**eq.arity)
+
+    monkeypatch.setattr(cli, "ds", stub)
+    c2, c40 = tmp_path / "c2.tbl", tmp_path / "c40.tbl"
+    tableio.dump_algebra(c2, chain(2))
+    tableio.dump_algebra(c40, chain(40))
+    code, rep = run_json(capsys, "degree", str(c2), "--eq", _variables(32) + " = 0")
+    assert code == 0 and rep["results"]["degree"]["total"] == 2**32
+    monkeypatch.setattr(cli, "ds", None)
+    for path, k, count in ((c2, 33, 2**33), (c40, 10, 40**10)):
+        code, out, err = run(capsys, "degree", str(path), "--eq", _variables(k) + " = 0")
+        assert (code, out) == (2, "")
+        assert err == f"error: --eq needs {count} assignments, above 4294967296\n"
+
+
+def test_gap_eq_above_assignment_cap_exits_2(capsys, monkeypatch):
+    # the count is the sum of n^k over the chains 2..max_n: 16^8 is 2^32,
+    # and the sum up to 16 is above it
+    monkeypatch.setattr(cli, "gap_evidence", None)
+    for k, max_n in ((10, 40), (8, 16)):
+        code, out, err = run(capsys, "gap", "--eq", _variables(k) + " = 0", "--max-n", str(max_n))
+        count = sum(n**k for n in range(2, max_n + 1))
+        assert (code, out) == (2, "")
+        assert err == f"error: --eq needs {count} assignments, above 4294967296\n"
+
+
 def test_family_writes_table(capsys, tmp_path):
     out = tmp_path / "m3.tbl"
     code, _, _ = run(capsys, "family", "--name", "M", "--n", "3", "--out", str(out))
@@ -742,7 +778,8 @@ WELL_FORMED = {
 
 @pytest.fixture
 def parsers_built(monkeypatch):
-    # the prog of every argparse parser made, subparsers included
+    # the prog of every argparse parser made, subparsers included, starting
+    # from no cached command parser, whatever earlier tests built
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -750,8 +787,10 @@ def parsers_built(monkeypatch):
         init(self, *args, **kwargs)
         built.append(self.prog)
 
+    cli._command_parser.cache_clear()
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
-    return built
+    yield built
+    cli._command_parser.cache_clear()
 
 
 def test_well_formed_commands_cover_every_subcommand():
@@ -761,8 +800,11 @@ def test_well_formed_commands_cover_every_subcommand():
 @pytest.mark.parametrize("command", COMMANDS)
 def test_one_subparser_built(capsys, parsers_built, pi_file, tc_file, command):
     argv = [a.format(pi=pi_file, tc=tc_file) for a in WELL_FORMED[command]]
-    code, _, err = run(capsys, *argv)
-    assert code == 0 and err == ""
+    first = run(capsys, *argv)
+    assert first[0] == 0 and first[2] == ""
+    assert parsers_built == [f"bck {command}"]
+    # a second call of the command reuses that parser and builds none
+    assert run(capsys, *argv) == first
     assert parsers_built == [f"bck {command}"]
 
 
@@ -785,6 +827,55 @@ def test_command_parser_matches_its_subparser(columns80, command):
     cli._add_command(alone, command)
     assert alone.format_help() == full.format_help()
     assert alone.format_usage() == full.format_usage()
+
+
+# --- a reused command parser carries nothing from one call to the next ------
+
+
+def test_usage_error_leaves_the_command_parser_as_new(capsys, columns80, pi_file):
+    cli._command_parser.cache_clear()
+    fresh = run(capsys, "verify", pi_file)
+    cli._command_parser.cache_clear()
+    code, out, err = exit_of(capsys, main, ["verify", pi_file, "--bogus"])
+    assert (code, out) == (2, "") and err.startswith("usage: bck [-h]\n")
+    assert run(capsys, "verify", pi_file) == fresh == (0, "ok: valid BCK-algebra of order 3\n", "")
+
+
+def test_reused_parser_help_follows_the_terminal_width(capsys, monkeypatch):
+    full = cli.build_parser()._subparsers._group_actions[0].choices
+    widths = set()
+    for columns in ("80", "120", "80"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for command in COMMANDS:
+            code, out, err = exit_of(capsys, main, [command, "--help"])
+            assert (code, out, err) == (0, full[command].format_help(), ""), (columns, command)
+        widths.add(full["degree"].format_help())
+    assert len(widths) == 2  # degree's usage line wraps at 80 columns, not at 120
+
+
+def test_reused_parser_keeps_no_file_list(capsys, tmp_path, pi_file, tc_file):
+    from bck import bck_union, direct_product
+
+    union, product = tmp_path / "union.tbl", tmp_path / "product.tbl"
+    assert run(capsys, "construct", "union", pi_file, tc_file, "--out", str(union))[0] == 0
+    assert run(capsys, "construct", "product", tc_file, pi_file, pi_file, "--out", str(product))[0] == 0
+    assert tableio.load_algebra(union) == bck_union(pi(), tc())
+    assert tableio.load_algebra(product) == direct_product(direct_product(tc(), pi()), pi())
+    code, out, _ = run(capsys, "construct", "iseki", pi_file)
+    assert code == 0 and tableio.loads(out)[0] == 4
+
+
+def test_reused_parser_reads_patched_limits(capsys, monkeypatch, pi_file):
+    # the argument types read MAX_ORDER and MAX_JOBS when they run, so a
+    # parser built before a limit changed still applies the new one
+    assert run(capsys, "family", "--name", "C", "--n", "5")[0] == 0
+    assert run(capsys, "degree", pi_file, "--kind", "cd", "--jobs", "3")[0] == 0
+    monkeypatch.setattr(tableio, "MAX_ORDER", 4)
+    monkeypatch.setattr(cli, "MAX_JOBS", 2)
+    code, out, err = exit_of(capsys, main, ["family", "--name", "C", "--n", "5"])
+    assert (code, out) == (2, "") and "argument --n: must be at most 4, got 5" in err
+    code, out, err = exit_of(capsys, main, ["degree", pi_file, "--kind", "cd", "--jobs", "3"])
+    assert (code, out) == (2, "") and "argument --jobs: must be between 1 and 2, got 3" in err
 
 
 # each studied kind and the builtin equation it counts
