@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .terms import UnboundedAlgebraError, holds, parse
+from .terms import UnboundedAlgebraError, _Record, holds, parse
 
 Element = int
 
@@ -478,7 +478,7 @@ def _stack_canonical(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return canon, counts
 
 
-class BckAlgebra:
+class BckAlgebra(_Record):
     """Immutable finite BCK-algebra.
 
     ``array`` is the table as a read-only intp array, made once.
@@ -520,14 +520,8 @@ class BckAlgebra:
     def __repr__(self) -> str:
         return f"BckAlgebra(order={self.order!r}, table={self.table!r}, bound={self.bound!r})"
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
     def __reduce__(self):
-        return _build, (self.order, self.array)
+        return _build, (self.array,)
 
     @property
     def elements(self) -> range:
@@ -591,7 +585,7 @@ class BckAlgebra:
         s = np.asarray(sigma, dtype=np.intp)
         t = np.empty_like(self.array)
         t[s[:, None], s] = s[self.array]  # sigma(x)*sigma(y) = sigma(x*y)
-        return _build(self.order, t)
+        return _build(t)
 
 
 def canonical_table(order: int, table) -> tuple[tuple[int, ...], ...]:
@@ -709,27 +703,27 @@ def from_table(order: int, table) -> BckAlgebra:
 
     Raises :class:`BckAxiomError` (carrying the report) if any axiom fails.
     """
-    return _checked(order, _validate_shape(order, table))
+    return _checked(_validate_shape(order, table))
 
 
-def _checked(order: int, t: np.ndarray) -> BckAlgebra:
+def _checked(t: np.ndarray) -> BckAlgebra:
     """:func:`from_table` of a table array that passed the shape check,
     such as ``tableio.read_table`` returns; the algebra owns ``t``."""
     report = _axiom_report(t)
     if not report.ok:
         raise BckAxiomError(report)
-    return _build(order, t)
+    return _build(t)
 
 
-def _build(order: int, table) -> BckAlgebra:
+def _build(table) -> BckAlgebra:
     """The algebra of a table already known to satisfy the axioms: by
-    construction, or as a relabeling of a checked table. ``table`` may be
-    an intp array the algebra then owns."""
+    construction, or as a relabeling of a checked table. Its order is the
+    table's length. ``table`` may be an intp array the algebra then owns."""
     t = np.asarray(table, dtype=np.intp)
     t.flags.writeable = False
     zero_columns = ~t.any(axis=0)  # the bound m has x*m = 0 for every x
     bound = int(zero_columns.argmax()) if zero_columns.any() else None
-    return BckAlgebra(order, None, bound, t)
+    return BckAlgebra(len(t), None, bound, t)
 
 
 def _build_stack(stack: np.ndarray) -> list[BckAlgebra]:

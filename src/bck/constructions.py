@@ -26,22 +26,22 @@ FAMILY_NAMES = ("C", "D", "Q", "B", "M", "P", "Pprime")
 
 def trivial() -> BckAlgebra:
     """The one-element algebra (bounded, with 1 = 0)."""
-    return _build(1, [[0]])
+    return _build([[0]])
 
 
 def two() -> BckAlgebra:
     """The unique order-2 algebra; implicative."""
-    return _build(2, [[0, 0], [1, 0]])
+    return _build([[0, 0], [1, 0]])
 
 
 def pi() -> BckAlgebra:
     """Order-3 algebra that is positive implicative but not commutative."""
-    return _build(3, [[0, 0, 0], [1, 0, 0], [2, 2, 0]])
+    return _build([[0, 0, 0], [1, 0, 0], [2, 2, 0]])
 
 
 def tc() -> BckAlgebra:
     """Order-3 algebra that is commutative but not positive implicative."""
-    return _build(3, [[0, 0, 0], [1, 0, 0], [2, 1, 0]])
+    return _build([[0, 0, 0], [1, 0, 0], [2, 1, 0]])
 
 
 def chain(n: int) -> BckAlgebra:
@@ -49,7 +49,7 @@ def chain(n: int) -> BckAlgebra:
     if n < 2:
         raise ValueError(f"chain needs n >= 2, got {n}")
     x = np.arange(n)
-    return _build(n, np.maximum(x[:, None] - x, 0))
+    return _build(np.maximum(x[:, None] - x, 0))
 
 
 def bck_union(a: BckAlgebra, b: BckAlgebra) -> BckAlgebra:
@@ -60,7 +60,7 @@ def bck_union(a: BckAlgebra, b: BckAlgebra) -> BckAlgebra:
     t[:n, :n] = a.array
     lift = np.r_[0, n:size]  # b's element j in the union
     t[np.ix_(lift, lift)] = lift[b.array]
-    return _build(size, t)
+    return _build(t)
 
 
 def _iseki(s: np.ndarray) -> np.ndarray:
@@ -77,7 +77,7 @@ def iseki_extension(a: BckAlgebra) -> BckAlgebra:
 
     The result is bounded, and non-commutative whenever |A| >= 2.
     """
-    return _build(a.order + 1, _iseki(a.array))
+    return _build(_iseki(a.array))
 
 
 def direct_product(a: BckAlgebra, b: BckAlgebra) -> BckAlgebra:
@@ -85,7 +85,7 @@ def direct_product(a: BckAlgebra, b: BckAlgebra) -> BckAlgebra:
     n, m = a.order, b.order
     # axes (xa, xb, ya, yb), so rows are xa*m + xb and columns ya*m + yb
     t = a.array[:, None, :, None] * m + b.array[None, :, None, :]
-    return _build(n * m, t.reshape(n * m, n * m))
+    return _build(t.reshape(n * m, n * m))
 
 
 def d_algebra(n: int) -> BckAlgebra:
@@ -101,7 +101,7 @@ def d_algebra(n: int) -> BckAlgebra:
     x = np.arange(n)
     t = _iseki(np.maximum(x[:, None] - x, 0))  # C_n and a top, whose row is changed
     t[n, 1:n] = np.r_[n - 2 : 0 : -1, 1]  # n*k = n-k-1, n*(n-1) = 1
-    return _build(n + 1, t)
+    return _build(t)
 
 
 def q_algebra(n: int) -> BckAlgebra:
@@ -118,7 +118,7 @@ def q_algebra(n: int) -> BckAlgebra:
     t[0] = 0
     t[1, 2:] = 0  # a <= b_i
     np.fill_diagonal(t, 0)
-    return _build(n, t)
+    return _build(t)
 
 
 def family(name: str, n: int) -> BckAlgebra:
@@ -153,4 +153,4 @@ def family(name: str, n: int) -> BckAlgebra:
     x = np.arange(n)[:, None]
     t = np.where(x > x.T if name in ("M", "Pprime") else x != x.T, x, 0)
     t[:3, :3] = (pi() if name in ("B", "M") else tc()).array
-    return _build(n, t)
+    return _build(t)

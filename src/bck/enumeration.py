@@ -88,8 +88,10 @@ from .degrees import (
     decompose_commutative,
     stack_degrees,
 )
+from .terms import _Record
 
-# Order 7 takes about 4 s serially on a 2-vCPU VM; order 8 was never run.
+# Order 7 takes about 4 s serially on a 2-vCPU VM, and order 8 (143,866
+# classes) 112-122 s with jobs=2.
 PRACTICAL_MAX_ORDER = 7
 # Lowest order whose catalog search runs in a process pool when jobs > 1:
 # below it the pool's start-up costs more than it saves. On a 2-vCPU VM,
@@ -347,7 +349,7 @@ class CatalogEntry(NamedTuple):
         }
 
 
-class Catalog:
+class Catalog(_Record):
     """All order-n BCK-algebras in canonical form, lexicographically sorted,
     with property flags and degree profiles. Immutable; its length is the
     number of entries."""
@@ -360,26 +362,6 @@ class Catalog:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Catalog):
-            return NotImplemented
-        return (self.order, self.entries) == (other.order, other.entries)
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.entries))
-
-    def __repr__(self) -> str:
-        return f"Catalog(order={self.order!r}, entries={self.entries!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return Catalog, (self.order, self.entries)
 
 
 class _CatalogDegrees(dict):
@@ -673,7 +655,7 @@ def load_catalog(dirpath) -> Catalog:
         for fname in files:
             n, table = tableio.read_table(os.path.join(dirpath, fname))
             if n != order:
-                _checked(n, table)  # its axioms come before its order, as when loaded alone
+                _checked(table)  # its axioms come before its order, as when loaded alone
                 raise MalformedTableError(
                     f"{fname} has order {n}, but the catalog index says {order}"
                 )

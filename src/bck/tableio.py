@@ -146,7 +146,7 @@ def read_table(path) -> tuple[int, np.ndarray]:
 
 def load_algebra(path) -> BckAlgebra:
     """Read and validate a table file; axiom failures propagate."""
-    return _checked(*read_table(path))
+    return _checked(read_table(path)[1])
 
 
 def dump_algebra(path, algebra: BckAlgebra) -> None:

@@ -28,9 +28,12 @@ class UnboundedAlgebraError(ValueError):
     """Operation requires a greatest element but the algebra has none."""
 
 
-class _Node:
-    """A term node: immutable, equal only to a node of its own type with equal
-    fields, and hashed by both. ``__match_args__`` lists the fields in order."""
+class _Record:
+    """An immutable record: the base of the term nodes, ``BckAlgebra`` and
+    ``Catalog``. Equal only to a record of its own type with equal fields,
+    hashed by both, and shown as ``Name(field=value, ...)``; it refuses
+    assignment and deletion and pickles by its fields. ``__match_args__``
+    lists the fields in order."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
@@ -39,7 +42,7 @@ class _Node:
         return tuple(getattr(self, name) for name in self.__match_args__)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, _Node):
+        if not isinstance(other, _Record):
             return NotImplemented
         return type(self) is type(other) and self._values() == other._values()
 
@@ -60,22 +63,22 @@ class _Node:
         return type(self), self._values()
 
 
-class Var(_Node):
+class Var(_Record):
     __slots__ = __match_args__ = ("name",)
 
     def __init__(self, name: str):
         object.__setattr__(self, "name", name)
 
 
-class Zero(_Node):
+class Zero(_Record):
     __slots__ = ()
 
 
-class One(_Node):
+class One(_Record):
     __slots__ = ()
 
 
-class _Binary(_Node):
+class _Binary(_Record):
     # an infix operator's node: BDot, Meet or Join
     __slots__ = __match_args__ = ("left", "right")
 
@@ -96,7 +99,7 @@ class Join(_Binary):
     __slots__ = ()
 
 
-class Neg(_Node):
+class Neg(_Record):
     __slots__ = __match_args__ = ("child",)
 
     def __init__(self, child: Term):

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from bck import chain, d_algebra, pi, tc, tableio
+from bck import chain, d_algebra, enumerate_algebras, pi, save_catalog, tc, tableio
 from bck import cli
 from bck.cli import main
 
@@ -497,6 +497,26 @@ def test_construct_product_above_max_order_exits_2(capsys, monkeypatch, tmp_path
     size = math.prod(orders)
     assert (code, stdout, err) == (2, "", f"error: product would have order {size}, above 1024\n")
     assert not out.exists()
+
+
+INPUT_ERRORS = [
+    (["audit", "--order", "4", "--catalog", "{cat3}"], "catalog at {cat3} has order 3, expected 4"),
+    (["spectrum", "--order", "4", "--kind", "cd", "--catalog", "{cat3}"],
+     "catalog at {cat3} has order 3, expected 4"),
+    (["gap", "--kind", "EM", "--max-n", "2"], "max_n must be >= 3, got 2"),
+    (["enumerate", "--order", "0"], "order must be >= 1"),
+    (["family", "--name", "Q", "--n", "2"], "q_algebra needs n >= 3, got 2"),
+]
+
+
+@pytest.mark.parametrize("argv,message", INPUT_ERRORS, ids=[" ".join(a) for a, _ in INPUT_ERRORS])
+def test_input_errors_exit_2(capsys, tmp_path, argv, message):
+    # arguments the parser accepts but the command refuses: exit 2 with one
+    # error line; {cat3} is a saved catalog of order 3
+    cat3 = str(tmp_path / "cat3")
+    save_catalog(enumerate_algebras(3), cat3)
+    code, out, err = run(capsys, *(a.format(cat3=cat3) for a in argv))
+    assert (code, out, err) == (2, "", f"error: {message.format(cat3=cat3)}\n")
 
 
 def test_audit_rejects_catalog_table_of_another_order(capsys, tmp_path):

@@ -321,7 +321,7 @@ def test_decompose_refuses_a_map_that_is_no_isomorphism():
     # so it is built past the axiom check to reach the isomorphism check.
     from bck.algebra import _build
 
-    fake = _build(4, [[0, 0, 0, 0], [1, 0, 0, 0], [2, 1, 0, 0], [3, 1, 2, 0]])
+    fake = _build([[0, 0, 0, 0], [1, 0, 0, 0], [2, 1, 0, 0], [3, 1, 2, 0]])
     assert fake.bound == 3 and fake.is_commutative() and fake.atoms() == {1}
     with pytest.raises(DecompositionError, match="^no chain-product decomposition of this order-4"):
         decompose_commutative(fake)

@@ -99,6 +99,15 @@ def test_records_are_immutable_and_pickle(catalog3, name):
     assert pickle.loads(pickle.dumps(record)) == record
 
 
+def test_catalog_repr_and_equality(catalog3, catalog4):
+    assert repr(enumeration.Catalog(1, ())) == "Catalog(order=1, entries=())"
+    assert catalog3 == enumerate_algebras(3)
+    assert catalog3 != catalog4
+    # a record of another type, either side first, and an algebra
+    assert catalog3 != terms.Zero() and terms.Zero() != catalog3
+    assert catalog3 != pi()
+
+
 def test_enumerate_order_3_against_no_pruning_oracle(catalog3):
     # brute force over all 3^4 assignments of the free cells of a 3x3 table
     # (row 0 and column 0 fixed by the axioms), no pruning, no shared search
