@@ -206,14 +206,14 @@ def cmd_gap(args) -> int:
 
 
 def _catalog_for(args):
-    if getattr(args, "catalog", None):
+    if args.catalog:
         cat = load_catalog(args.catalog)
         if cat.order != args.order:
             raise MalformedTableError(
                 f"catalog at {args.catalog} has order {cat.order}, expected {args.order}"
             )
         return cat
-    return enumerate_algebras(args.order, jobs=getattr(args, "jobs", 1))
+    return enumerate_algebras(args.order, jobs=args.jobs)
 
 
 def cmd_enumerate(args) -> int:
@@ -222,7 +222,7 @@ def cmd_enumerate(args) -> int:
         save_catalog(catalog, args.out)
     if args.format == "json":  # only the JSON report prints the degrees
         algebras = [
-            {"table": [list(row) for row in e.algebra.table], **e.to_json()}
+            {"table": e.algebra.array.tolist(), **e.to_json()}
             for e in catalog.entries
         ]
         results = {"order": args.order, "count": len(catalog), "algebras": algebras}
@@ -233,7 +233,7 @@ def cmd_enumerate(args) -> int:
     for e in catalog.entries:
         flags = ["bounded" if e.algebra.bound is not None else "unbounded"]
         flags += [key for key in _FLAG_LAWS if getattr(e, key)]
-        row = " ".join(",".join(str(v) for v in r) for r in e.algebra.table)
+        row = " ".join(",".join(str(v) for v in r) for r in e.algebra.array.tolist())
         lines.append(f"  [{row}] {' '.join(flags)}")
     _emit(args, {}, lines)
     return 0
@@ -249,7 +249,7 @@ def cmd_spectrum(args) -> int:
         "missing": [d.reduced for d in rep.missing],
         "outside_possible": [d.reduced for d in rep.outside_possible],
         "witnesses": {
-            d.reduced: [list(row) for row in alg.table] for d, alg in sorted(rep.witnesses.items())
+            d.reduced: alg.array.tolist() for d, alg in sorted(rep.witnesses.items())
         },
     }
     out = {

@@ -364,36 +364,41 @@ class Catalog(_Record):
         return len(self.entries)
 
 
-class _CatalogDegrees(dict):
-    """The degrees of every algebra of one catalog by kind, each kind counted
-    over the catalog's stack by one :func:`stack_degrees` when first read."""
-
-    def __init__(self, stack: np.ndarray, bounds: list[int | None], commutative: list[bool]):
-        super().__init__()
-        self._inputs = (stack, bounds, commutative)
-
-    def __missing__(self, kind: str) -> list[Degree | None]:
-        self[kind] = stack_degrees(kind, *self._inputs)
-        return self[kind]
-
-
 class _Degrees(Mapping):
-    """One catalog algebra's degree of each kind in ``DEGREE_KINDS``, read
-    from its catalog's :class:`_CatalogDegrees`, so a reader of one kind
-    (``spectrum``) pays for one. A kind that needs a bound is None on an
-    unbounded algebra."""
+    """One catalog algebra's degree of each kind in ``DEGREE_KINDS``. A kind
+    is counted over the catalog's whole stack by one :func:`stack_degrees`
+    when first read, into ``columns``, the dict shared by every entry of the
+    catalog, so a reader of one kind (``spectrum``) pays for one. A kind
+    that needs a bound is None on an unbounded algebra. The degrees are a
+    function of the table, so two of these compare and hash by its bytes
+    and count nothing."""
 
-    def __init__(self, catalog: _CatalogDegrees, i: int):
-        self._catalog, self._i = catalog, i
+    def __init__(self, columns: dict, inputs: tuple, i: int):
+        # inputs: the catalog's (k, n, n) stack, bounds and commutative flags
+        self._columns, self._inputs, self._i = columns, inputs, i
 
     def __getitem__(self, kind: str) -> Degree | None:
-        return self._catalog[kind][self._i]
+        column = self._columns.get(kind)
+        if column is None:
+            column = self._columns[kind] = stack_degrees(kind, *self._inputs)
+        return column[self._i]
 
     def __iter__(self):
         return iter(DEGREE_KINDS)
 
     def __len__(self) -> int:
         return len(DEGREE_KINDS)
+
+    def _table_bytes(self) -> bytes:
+        return self._inputs[0][self._i].tobytes()
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _Degrees):
+            return self._table_bytes() == other._table_bytes()
+        return super().__eq__(other)
+
+    def __hash__(self) -> int:
+        return hash(self._table_bytes())
 
     def __repr__(self) -> str:
         return repr(dict(self))
@@ -406,9 +411,11 @@ def _profile(stack: np.ndarray) -> tuple[CatalogEntry, ...]:
     stack.flags.writeable = False
     algebras = _build_stack(stack)
     flags = _stack_flags(stack)
-    degrees = _CatalogDegrees(stack, [a.bound for a in algebras], flags["commutative"])
+    columns: dict[str, list[Degree | None]] = {}
+    inputs = (stack, [a.bound for a in algebras], flags["commutative"])
     return tuple(
-        CatalogEntry(a, *(f[i] for f in flags.values()), _Degrees(degrees, i))
+        CatalogEntry(a, **{name: f[i] for name, f in flags.items()},
+                     degrees=_Degrees(columns, inputs, i))
         for i, a in enumerate(algebras)
     )
 

@@ -123,45 +123,33 @@ class UnboundVariableError(KeyError):
 
 
 # The most operators on a path from a term's root to a leaf, and the most
-# parentheses and negations open at once while it is read: the parser,
-# free_vars, the evaluator and the printer recurse once per level (the parser
-# up to six times per parenthesis), so such terms stay well inside Python's
-# recursion limit. make_equation holds a term built in code to the same cap.
+# parentheses and negations open at once while it is read: the parser, the
+# evaluator and the printer recurse once per level (the parser up to six
+# times per parenthesis), so such terms stay well inside Python's recursion
+# limit. free_vars walks without recursing and holds a term built in code,
+# which make_equation passes it, to the same cap.
 MAX_DEPTH = 100
 _TOO_DEEP = f"term nested deeper than {MAX_DEPTH} levels"
 
 
-def free_vars(term: Term) -> tuple[str, ...]:
-    """Free variables in first-occurrence order."""
-    out: list[str] = []
-
-    def walk(t: Term) -> None:
-        if isinstance(t, Var):
-            if t.name not in out:
-                out.append(t.name)
-        elif isinstance(t, _Binary):
-            walk(t.left)
-            walk(t.right)
-        elif isinstance(t, Neg):
-            walk(t.child)
-
-    walk(term)
-    return tuple(out)
-
-
-def _check_depth(*terms: Term) -> None:
-    # ValueError if a path from a root of ``terms`` to a leaf has more than
-    # MAX_DEPTH operators; walked with a stack, since the terms may be deeper
-    # than Python's recursion limit
-    todo = [(t, 0) for t in terms]  # a node and the operators above it
+def free_vars(*terms: Term) -> tuple[str, ...]:
+    """The free variables of ``terms`` in first-occurrence order, the first
+    term's first. Raises ValueError if a path from a root to a leaf has more
+    than ``MAX_DEPTH`` operators; walked with a stack, since a term built in
+    code may be deeper than Python's recursion limit."""
+    out: dict[str, None] = {}
+    todo = [(t, 0) for t in reversed(terms)]  # a node and the operators above it
     while todo:
         t, above = todo.pop()
         if above > MAX_DEPTH:
             raise ValueError(_TOO_DEEP)
-        if isinstance(t, _Binary):
-            todo += (t.left, above + 1), (t.right, above + 1)
+        if isinstance(t, Var):
+            out.setdefault(t.name)
+        elif isinstance(t, _Binary):
+            todo += (t.right, above + 1), (t.left, above + 1)
         elif isinstance(t, Neg):
             todo.append((t.child, above + 1))
+    return tuple(out)
 
 
 class Equation(NamedTuple):
@@ -180,8 +168,7 @@ class Equation(NamedTuple):
 def make_equation(lhs: Term, rhs: Term) -> Equation:
     """The equation lhs = rhs. Raises ValueError if either side is nested
     deeper than ``MAX_DEPTH`` levels, as :func:`parse` does."""
-    _check_depth(lhs, rhs)
-    return Equation(lhs, rhs, free_vars(BDot(lhs, rhs)))  # lhs's variables first
+    return Equation(lhs, rhs, free_vars(lhs, rhs))
 
 
 _PUNCT = {".", "&", "|", "~", "(", ")", "=", "0", "1"}

@@ -219,7 +219,8 @@ def test_construct_iseki_of_two_is_pi(capsys, tmp_path, pi_file):
     two_file.write_text("2\n0 0\n1 0\n")
     code, out, _ = run(capsys, "construct", "iseki", str(two_file))
     assert code == 0
-    assert out == open(pi_file).read()
+    with open(pi_file) as fh:
+        assert out == fh.read()
 
 
 def test_construct_product_order(capsys, tmp_path):

@@ -13,7 +13,7 @@ from bck import algebra as algebra_module
 from bck import enumeration, terms
 from bck.algebra import _CANON_BLOCK_CELLS, _check_small, _stack_canonical, _stack_ok
 from bck.cli import main as cli_main
-from bck.degrees import DEGREE_FUNCTIONS, DEGREE_KINDS, ds, ds_stack
+from bck.degrees import DEGREE_FUNCTIONS, DEGREE_KINDS, ds, ds_stack, stack_degrees
 from bck import (
     FAMILY_NAMES,
     Degree,
@@ -99,13 +99,29 @@ def test_records_are_immutable_and_pickle(catalog3, name):
     assert pickle.loads(pickle.dumps(record)) == record
 
 
-def test_catalog_repr_and_equality(catalog3, catalog4):
+def test_catalog_repr_and_equality(monkeypatch, catalog3, catalog4):
     assert repr(enumeration.Catalog(1, ())) == "Catalog(order=1, entries=())"
     assert catalog3 == enumerate_algebras(3)
     assert catalog3 != catalog4
     # a record of another type, either side first, and an algebra
     assert catalog3 != terms.Zero() and terms.Zero() != catalog3
     assert catalog3 != pi()
+    # catalogs and entries hash, also after a pickle round trip
+    assert hash(catalog3) == hash(enumerate_algebras(3))
+    entry = catalog3.entries[-1]
+    copy = pickle.loads(pickle.dumps(entry))
+    assert copy == entry and hash(copy) == hash(entry)
+    # degrees compare by the table, so comparing catalogs counts none
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return stack_degrees(*args)
+
+    monkeypatch.setattr(enumeration, "stack_degrees", counted)
+    assert enumerate_algebras(5) == enumerate_algebras(5)
+    assert calls == []
+    assert dict(copy.degrees) == dict(entry.degrees)
 
 
 def test_enumerate_order_3_against_no_pruning_oracle(catalog3):

@@ -21,7 +21,7 @@ from bck import (
     pretty_term,
     tc,
 )
-from bck.terms import MAX_DEPTH, BDot, Join, Meet, Neg, One, Var, Zero
+from bck.terms import MAX_DEPTH, BDot, Join, Meet, Neg, One, Var, Zero, free_vars
 
 
 def test_parse_commutativity_equation():
@@ -111,6 +111,8 @@ def test_make_equation_refuses_terms_past_the_cap():
     for _ in range(MAX_DEPTH + 1):
         negations = Neg(negations)
     for deep in (chain_term, negations, Join(Zero(), negations)):
+        with pytest.raises(ValueError, match=f"deeper than {MAX_DEPTH} levels"):
+            free_vars(deep)
         for lhs, rhs in ((deep, Var("x")), (Var("x"), deep)):
             with pytest.raises(ValueError, match=f"deeper than {MAX_DEPTH} levels"):
                 make_equation(lhs, rhs)
@@ -146,6 +148,7 @@ def test_builtin_unknown_name():
 
 def test_variable_order_is_first_occurrence_lhs_then_rhs():
     assert parse("y . x = z . w").vars == ("y", "x", "z", "w")
+    assert parse("~(z & (y . z)) | x = w . (x . y)").vars == ("z", "y", "x", "w")
 
 
 def _random_term(rng, depth, names=("x", "y", "z")):
