@@ -5,6 +5,11 @@ commutative, failed audit, enumeration out of --max-nodes), 2 usage,
 parse, or I/O errors. Every command is deterministic given identical
 inputs and flags; text and JSON output agree on all numeric content.
 
+``_emit`` builds every report. A reporting command passes it the inputs
+and results of its JSON report, which ``_emit`` puts under the command's
+name, and the lines of its text report. ``family`` and ``construct``
+report nothing: they write a table file whatever ``--format`` is.
+
 Each subcommand's arguments are declared once, in ``COMMANDS``. ``main``
 parses with one parser, for the invoked subcommand alone, since building
 all ten costs more than most commands. That parser is built on the
@@ -53,8 +58,9 @@ from .enumeration import (
 from .terms import BUILTIN_EQUATIONS, builtin, parse, pretty
 
 
-def _emit(args, report: dict, lines: list[str]) -> None:
+def _emit(args, inputs, results, lines: list[str]) -> None:
     if args.format == "json":
+        report = {"command": args.command, "inputs": inputs, "results": results}
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         for line in lines:
@@ -64,21 +70,17 @@ def _emit(args, report: dict, lines: list[str]) -> None:
 def cmd_verify(args) -> int:
     order, table = tableio.read_table(args.file)  # shape-checked already
     report = _axiom_report(table)
-    out = {
-        "command": "verify",
-        "inputs": {"file": args.file},
-        "results": {
-            "valid": report.ok,
-            "violations": [{"axiom": vid, "witness": list(w)} for vid, w in report.violations],
-        },
+    results = {
+        "valid": report.ok,
+        "violations": [{"axiom": vid, "witness": list(w)} for vid, w in report.violations],
     }
     if report.ok:
-        _emit(args, out, [f"ok: valid BCK-algebra of order {order}"])
-        return 0
-    lines = [f"invalid: {len(report.violations)} axiom class(es) violated"]
-    lines += [f"  {vid} witness={w}" for vid, w in report.violations]
-    _emit(args, out, lines)
-    return 1
+        lines = [f"ok: valid BCK-algebra of order {order}"]
+    else:
+        lines = [f"invalid: {len(report.violations)} axiom class(es) violated"]
+        lines += [f"  {vid} witness={w}" for vid, w in report.violations]
+    _emit(args, {"file": args.file}, results, lines)
+    return 0 if report.ok else 1
 
 
 def cmd_props(args) -> int:
@@ -86,12 +88,11 @@ def cmd_props(args) -> int:
     atoms = sorted(algebra.atoms())
     flags = {name: f[0] for name, f in _stack_flags(algebra.array[None]).items()}
     results = {"order": algebra.order, "bound": algebra.bound, **flags, "atoms": atoms}
-    out = {"command": "props", "inputs": {"file": args.file}, "results": results}
     lines = [f"order: {algebra.order}"]
     lines.append("bounded: no" if algebra.bound is None else f"bounded: yes (1 = {algebra.bound})")
     lines += [f"{key}: {'yes' if results[key] else 'no'}" for key in _FLAG_LAWS]
     lines.append("atoms: " + " ".join(str(a) for a in atoms))
-    _emit(args, out, lines)
+    _emit(args, {"file": args.file}, results, lines)
     return 0
 
 
@@ -106,15 +107,10 @@ def cmd_degree(args) -> int:
         d = ds(algebra, eq)
         shown = pretty(eq)
     results = {"equation": shown, "kind": args.kind, "degree": d.to_json(), "note": d.note}
-    out = {
-        "command": "degree",
-        "inputs": {"file": args.file, "kind": args.kind, "eq": args.eq},
-        "results": results,
-    }
     lines = [f"equation: {shown}", f"degree: {d.reduced} (count={d.count} total={d.total})"]
     if d.note:
         lines.append(f"note: {d.note}")
-    _emit(args, out, lines)
+    _emit(args, {"file": args.file, "kind": args.kind, "eq": args.eq}, results, lines)
     return 0
 
 
@@ -184,11 +180,6 @@ def cmd_gap(args) -> int:
         "monotone_nonincreasing_after_first_sub_one": ev.monotone_nonincreasing_after_first_sub_one,
         "candidate_gap": None if ev.candidate_gap is None else str(ev.candidate_gap),
     }
-    out = {
-        "command": "gap",
-        "inputs": {"eq": args.eq, "kind": args.kind, "max_n": args.max_n},
-        "results": results,
-    }
     lines = [f"equation: {pretty(eq)}"]
     if ev.sub_one_max is None:
         lines.append(f"all chain degrees up to order {ev.max_n} equal 1; no sub-1 value in range")
@@ -201,7 +192,7 @@ def cmd_gap(args) -> int:
             + ("yes" if ev.monotone_nonincreasing_after_first_sub_one else "no")
         )
     lines += [f"  n={i + 2}: {d.reduced}" for i, d in enumerate(ev.sequence)]
-    _emit(args, out, lines)
+    _emit(args, {"eq": args.eq, "kind": args.kind, "max_n": args.max_n}, results, lines)
     return 0
 
 
@@ -226,8 +217,7 @@ def cmd_enumerate(args) -> int:
             for e in catalog.entries
         ]
         results = {"order": args.order, "count": len(catalog), "algebras": algebras}
-        inputs = {"order": args.order, "out": args.out}
-        _emit(args, {"command": "enumerate", "inputs": inputs, "results": results}, [])
+        _emit(args, {"order": args.order, "out": args.out}, results, [])
         return 0
     lines = [f"order {args.order}: {len(catalog)} algebras up to isomorphism"]
     for e in catalog.entries:
@@ -235,7 +225,7 @@ def cmd_enumerate(args) -> int:
         flags += [key for key in _FLAG_LAWS if getattr(e, key)]
         row = " ".join(",".join(str(v) for v in r) for r in e.algebra.array.tolist())
         lines.append(f"  [{row}] {' '.join(flags)}")
-    _emit(args, {}, lines)
+    _emit(args, None, None, lines)
     return 0
 
 
@@ -252,11 +242,6 @@ def cmd_spectrum(args) -> int:
             d.reduced: alg.array.tolist() for d, alg in sorted(rep.witnesses.items())
         },
     }
-    out = {
-        "command": "spectrum",
-        "inputs": {"order": args.order, "kind": args.kind},
-        "results": results,
-    }
     lines = [f"order {rep.order}, kind {rep.kind}"]
     if rep.possible is not None:
         lines.append("possible: " + " ".join(d.reduced for d in rep.possible))
@@ -266,7 +251,7 @@ def cmd_spectrum(args) -> int:
     )
     if rep.outside_possible:
         lines.append("outside possible: " + " ".join(d.reduced for d in rep.outside_possible))
-    _emit(args, out, lines)
+    _emit(args, {"order": args.order, "kind": args.kind}, results, lines)
     return 0
 
 
@@ -287,26 +272,21 @@ def cmd_audit(args) -> int:
             for c in rep.checks
         ],
     }
-    out = {"command": "audit", "inputs": {"order": args.order}, "results": results}
     lines = [f"order {rep.order}: {'PASS' if rep.passed else 'FAIL'}"]
     for c in rep.checks:
         lines.append(f"  {'pass' if c.passed else 'FAIL'} {c.name}")
         for tab, detail in c.counterexamples:
             row = " ".join(",".join(str(v) for v in r) for r in tab)
             lines.append(f"    counterexample [{row}]: {detail}")
-    _emit(args, out, lines)
+    _emit(args, {"order": args.order}, results, lines)
     return 0 if rep.passed else 1
 
 
 def cmd_decompose(args) -> int:
     algebra = tableio.load_algebra(args.file)
-    dec = decompose_commutative(algebra)
-    out = {
-        "command": "decompose",
-        "inputs": {"file": args.file},
-        "results": {"chain_lengths": list(dec.chain_lengths)},
-    }
-    _emit(args, out, ["chain lengths: " + (" ".join(map(str, dec.chain_lengths)) or "(empty)")])
+    lengths = decompose_commutative(algebra).chain_lengths
+    lines = ["chain lengths: " + (" ".join(map(str, lengths)) or "(empty)")]
+    _emit(args, {"file": args.file}, {"chain_lengths": list(lengths)}, lines)
     return 0
 
 

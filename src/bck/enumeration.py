@@ -71,6 +71,7 @@ import numpy as np
 from . import tableio
 from .tableio import TableFormatError
 from .algebra import (
+    _FLAG_LAWS,
     BckAlgebra,
     BckAxiomError,
     MalformedTableError,
@@ -341,10 +342,7 @@ class CatalogEntry(NamedTuple):
         """Bound, flags and degrees, as `bck enumerate` and index.json print them."""
         return {
             "bound": self.algebra.bound,
-            "linear": self.linear,
-            "commutative": self.commutative,
-            "positive_implicative": self.positive_implicative,
-            "implicative": self.implicative,
+            **{name: getattr(self, name) for name in _FLAG_LAWS},
             "degrees": {k: (d.to_json() if d else None) for k, d in self.degrees.items()},
         }
 

@@ -850,6 +850,42 @@ def test_command_parser_matches_its_subparser(columns80, command):
     assert alone.format_usage() == full.format_usage()
 
 
+# --- every report's envelope -------------------------------------------------
+
+# The inputs of each reporting command's JSON report for its WELL_FORMED argv.
+REPORT_INPUTS = {
+    "verify": {"file": "{pi}"},
+    "props": {"file": "{pi}"},
+    "degree": {"file": "{pi}", "kind": "cd", "eq": None},
+    "gap": {"eq": None, "kind": "EM", "max_n": 3},
+    "enumerate": {"order": 2, "out": None},
+    "spectrum": {"order": 2, "kind": "cd"},
+    "audit": {"order": 2},
+    "decompose": {"file": "{tc}"},
+}
+ENVELOPE_CASES = [(WELL_FORMED[c], inputs, 0) for c, inputs in REPORT_INPUTS.items()] + [
+    (["verify", "{bad}"], {"file": "{bad}"}, 1),
+    (["audit", "--order", "3"], {"order": 3}, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, inputs, code", ENVELOPE_CASES, ids=[" ".join(a) for a, _, _ in ENVELOPE_CASES]
+)
+def test_report_envelope(capsys, tmp_path, pi_file, tc_file, argv, inputs, code):
+    bad = tmp_path / "bad.tbl"
+    bad.write_text("2\n0 1\n1 0\n")
+    files = {"pi": pi_file, "tc": tc_file, "bad": str(bad)}
+    argv = [a.format(**files) for a in argv]
+    inputs = {k: v.format(**files) if isinstance(v, str) else v for k, v in inputs.items()}
+    assert run(capsys, *argv, "--format", "text")[0] == code
+    json_code, report = run_json(capsys, *argv)
+    assert json_code == code
+    assert sorted(report) == ["command", "inputs", "results"]
+    assert report["command"] == argv[0]
+    assert report["inputs"] == inputs
+
+
 # --- a reused command parser carries nothing from one call to the next ------
 
 
