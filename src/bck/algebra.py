@@ -508,14 +508,8 @@ class BckAlgebra(_Record):
             object.__setattr__(self, "_table", tuple(map(tuple, self.array.tolist())))
         return self._table
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BckAlgebra):
-            return NotImplemented
-        return (self.order, self.bound, self.array.tobytes()) == (
-            other.order, other.bound, other.array.tobytes())
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.bound, self.array.tobytes()))
+    def _values(self) -> tuple:
+        return self.order, self.bound, self.array.tobytes()
 
     def __repr__(self) -> str:
         return f"BckAlgebra(order={self.order!r}, table={self.table!r}, bound={self.bound!r})"

@@ -48,6 +48,7 @@ from .degrees import (
     gap_evidence,
 )
 from .enumeration import (
+    CLI_MAX_ORDER,
     EnumerationLimitError,
     audit_bounds,
     enumerate_algebras,
@@ -196,6 +197,12 @@ def cmd_gap(args) -> int:
     return 0
 
 
+def _refuse_runaway(order: int, option: str) -> None:
+    if order > CLI_MAX_ORDER:
+        raise ValueError(f"order {order} is above {CLI_MAX_ORDER}, "
+                         f"the highest enumerated without {option}")
+
+
 def _catalog_for(args):
     if args.catalog:
         cat = load_catalog(args.catalog)
@@ -204,10 +211,13 @@ def _catalog_for(args):
                 f"catalog at {args.catalog} has order {cat.order}, expected {args.order}"
             )
         return cat
+    _refuse_runaway(args.order, "--catalog")
     return enumerate_algebras(args.order, jobs=args.jobs)
 
 
 def cmd_enumerate(args) -> int:
+    if args.max_nodes is None:
+        _refuse_runaway(args.order, "--max-nodes")
     catalog = enumerate_algebras(args.order, jobs=args.jobs, max_nodes=args.max_nodes)
     if args.out:
         save_catalog(catalog, args.out)

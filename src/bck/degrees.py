@@ -8,6 +8,7 @@ The studied degree kinds are declared once, in ``DEGREE_KINDS``.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -16,7 +17,7 @@ import numpy as np
 
 from .algebra import BckAlgebra, _holding_blocks
 from .constructions import chain, direct_product
-from .terms import BUILTIN_EQUATIONS, Equation, builtin
+from .terms import BUILTIN_EQUATIONS, Equation, _Record, builtin
 
 
 class NotCommutativeError(ValueError):
@@ -34,27 +35,27 @@ class DecompositionError(RuntimeError):
     """
 
 
-class _DegreeFields(NamedTuple):
-    count: int
-    total: int
-    note: str | None = None
+_set = object.__setattr__  # sets a new Degree's fields past _Record's refusal
 
 
-class Degree(_DegreeFields):
+@functools.total_ordering
+class Degree(_Record):
     """Exact satisfaction ratio: ``count`` satisfying tuples out of ``total``.
 
     Equality, hashing and all six comparisons go by the reduced rational
-    value, so Degree(7, 9) == Fraction(7, 9) and Degree(2, 4) <= Degree(1, 2).
-    ``note`` carries a hypothesis warning when present and never affects
-    them.
+    value, so Degree(7, 9) == Fraction(7, 9) and Degree(2, 4) <= Degree(1, 2),
+    and no tuple compares with one. ``note`` carries a hypothesis warning
+    when present and never affects them.
     """
 
-    __slots__ = ()
+    __slots__ = __match_args__ = ("count", "total", "note")
 
-    def __new__(cls, count: int, total: int, note: str | None = None):
+    def __init__(self, count: int, total: int, note: str | None = None):
         if total <= 0 or not 0 <= count <= total:
             raise ValueError(f"bad degree {count}/{total}")
-        return tuple.__new__(cls, (count, total, note))
+        _set(self, "count", count)
+        _set(self, "total", total)
+        _set(self, "note", note)
 
     @property
     def fraction(self) -> Fraction:
@@ -68,25 +69,9 @@ class Degree(_DegreeFields):
         value = _rational(other)
         return NotImplemented if value is None else self.fraction == value
 
-    def __ne__(self, other) -> bool:
-        value = _rational(other)
-        return NotImplemented if value is None else self.fraction != value
-
     def __lt__(self, other) -> bool:
         value = _rational(other)
         return NotImplemented if value is None else self.fraction < value
-
-    def __le__(self, other) -> bool:
-        value = _rational(other)
-        return NotImplemented if value is None else self.fraction <= value
-
-    def __gt__(self, other) -> bool:
-        value = _rational(other)
-        return NotImplemented if value is None else self.fraction > value
-
-    def __ge__(self, other) -> bool:
-        value = _rational(other)
-        return NotImplemented if value is None else self.fraction >= value
 
     def __hash__(self) -> int:
         return hash(self.fraction)

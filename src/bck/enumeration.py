@@ -94,6 +94,10 @@ from .terms import _Record
 # Order 7 takes about 4 s serially on a 2-vCPU VM, and order 8 (143,866
 # classes) 112-122 s with jobs=2.
 PRACTICAL_MAX_ORDER = 7
+# Highest order `bck` enumerates without --max-nodes or --catalog, even if
+# PRACTICAL_MAX_ORDER rises: order 8 has 2,045 posets, built in 1.5 s, and
+# order 9 16,999, which _posets(9, [100000, 0]) still deduplicated after 30 s.
+CLI_MAX_ORDER = 8
 # Lowest order whose catalog search runs in a process pool when jobs > 1:
 # below it the pool's start-up costs more than it saves. On a 2-vCPU VM,
 # with 2 workers against serially: at order 6, in-process medians of 122
@@ -614,10 +618,12 @@ def audit_bounds(catalog: Catalog) -> AuditReport:
 
 def save_catalog(catalog: Catalog, dirpath) -> None:
     """Persist as one table file per algebra plus a JSON index with flags
-    and degrees. :func:`load_catalog` reads back only the tables and
-    recomputes the rest. Once the index is written, ``.tbl`` files it does
-    not name, left by an earlier save into the same directory, are
-    removed; no other file is touched."""
+    and degrees, on one line (46 MB at order 8, within the read cap).
+    :func:`load_catalog` reads back only the tables and recomputes the
+    rest. The index goes to ``index.json.part`` and is renamed onto
+    ``index.json``, so a failed save leaves an earlier index whole. Then
+    ``.tbl`` files it does not name, left by an earlier save into the same
+    directory, are removed; no other file is touched."""
     import hashlib  # imported here: only saved catalogs need it, and it loads OpenSSL
 
     os.makedirs(dirpath, exist_ok=True)
@@ -628,9 +634,11 @@ def save_catalog(catalog: Catalog, dirpath) -> None:
         with open(os.path.join(dirpath, fname), "w", encoding="utf-8") as fh:
             fh.write(text)
         index["algebras"].append({"file": fname, **e.to_json()})
-    with open(os.path.join(dirpath, "index.json"), "w", encoding="utf-8") as fh:
-        json.dump(index, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(index, separators=(",", ":"), sort_keys=True) + "\n"  # json.dump is pure Python
+    part = os.path.join(dirpath, "index.json.part")
+    with open(part, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    os.replace(part, os.path.join(dirpath, "index.json"))
     named = {rec["file"] for rec in index["algebras"]}
     with os.scandir(dirpath) as entries:
         stale = [e.path for e in entries

@@ -29,11 +29,12 @@ class UnboundedAlgebraError(ValueError):
 
 
 class _Record:
-    """An immutable record: the base of the term nodes, ``BckAlgebra`` and
-    ``Catalog``. Equal only to a record of its own type with equal fields,
-    hashed by both, and shown as ``Name(field=value, ...)``; it refuses
-    assignment and deletion and pickles by its fields. ``__match_args__``
-    lists the fields in order."""
+    """An immutable record: the base of the term nodes, ``BckAlgebra``,
+    ``Catalog`` and ``Degree``. Equal only to a record of its own type with
+    an equal key, hashed by both, and shown as ``Name(field=value, ...)``;
+    it refuses assignment and deletion and pickles by its key. The key is
+    the fields ``__match_args__`` lists, unless ``_values`` gives another,
+    as in ``BckAlgebra``."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from bck import chain, d_algebra, enumerate_algebras, pi, save_catalog, tc, tableio
-from bck import cli
+from bck import cli, enumeration
 from bck.cli import main
 
 
@@ -455,6 +455,48 @@ def test_max_nodes_stops_a_huge_order_at_once(capsys):
         code, out, err = run(capsys, "enumerate", "--order", "40", "--max-nodes", "10")
     assert (code, out) == (1, "")
     assert err == "error: enumeration aborted after 10 placements with 0 tables completed\n"
+
+
+class _PosetsBuilt(Exception):
+    pass
+
+
+def _no_posets(*args):
+    raise _PosetsBuilt
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["enumerate", "--order", "9"], "--max-nodes"),
+    (["audit", "--order", "12"], "--catalog"),
+    (["spectrum", "--order", "9", "--kind", "cd"], "--catalog"),
+])
+def test_runaway_order_is_refused_before_any_poset(capsys, monkeypatch, argv, option):
+    monkeypatch.setattr(enumeration, "_posets", _no_posets)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: order {argv[2]} is above 8, the highest enumerated without {option}\n"
+
+
+@pytest.mark.filterwarnings("ignore:enumeration at order")
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--order", "8"],
+    ["enumerate", "--order", "9", "--max-nodes", "5"],
+    ["audit", "--order", "8"],
+    ["spectrum", "--order", "8", "--kind", "cd"],
+])
+def test_orders_within_the_cap_reach_the_posets(monkeypatch, argv):
+    monkeypatch.setattr(enumeration, "_posets", _no_posets)
+    with pytest.raises(_PosetsBuilt):
+        main(argv)
+
+
+def test_a_saved_catalog_above_the_cap_is_read(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(enumeration, "_posets", _no_posets)
+    c9 = str(tmp_path / "c9")
+    save_catalog(enumeration.Catalog(9, enumeration._profile(chain(9).array[None])), c9)
+    for argv in (["audit", "--order", "9"], ["spectrum", "--order", "9", "--kind", "cd"]):
+        code, out, err = run(capsys, *argv, "--catalog", c9)
+        assert code in (0, 1) and out.startswith("order 9") and err == ""
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])

@@ -1,4 +1,6 @@
 import itertools
+import operator
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -58,6 +60,18 @@ def test_degree_equality_is_cross_multiplied():
     assert repr(Degree(7, 9)) == "Degree(count=7, total=9, note=None)"
     assert Degree(7, 9).reduced == "7/9"
     assert Degree(9, 9).reduced == "1"
+
+
+def test_degree_is_a_value_not_a_tuple():
+    assert Degree(2, 4) != (2, 4, None) and (2, 4, None) != Degree(2, 4)
+    assert not Degree(2, 4) == (2, 4, None) and not (2, 4, None) == Degree(2, 4)
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            compare(Degree(1, 2), (1, 3, None))
+    assert not isinstance(Degree(1, 2), tuple)
+    assert Degree(1, 2) != 0.5
+    copy = pickle.loads(pickle.dumps(Degree(2, 4, note="noted")))
+    assert (copy.count, copy.total, copy.note) == (2, 4, "noted")
 
 
 def test_degree_validation():

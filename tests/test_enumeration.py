@@ -677,6 +677,39 @@ def test_save_catalog_removes_stale_table_files(tmp_path, catalog3, catalog4):
     assert load_catalog(d) == catalog3
 
 
+def test_saved_index_is_compact_and_loads_under_the_cap(tmp_path, monkeypatch, catalog5):
+    # order 5's index is 28,971 bytes on one line, 55,107 indented as before
+    d = tmp_path / "cat5"
+    monkeypatch.setattr(tableio, "MAX_FILE_BYTES", 40_000)
+    save_catalog(catalog5, d)
+    text = (d / "index.json").read_text()
+    assert text.count("\n") == 1 and text.endswith("}\n")
+    assert load_catalog(d) == catalog5
+    # an indented index, as earlier saves wrote it, loads while within the cap
+    (d / "index.json").write_text(json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n")
+    with pytest.raises(tableio.TableFormatError, match="larger than 40000 bytes"):
+        load_catalog(d)
+    monkeypatch.undo()
+    assert load_catalog(d) == catalog5
+
+
+def test_failed_save_leaves_the_earlier_index_whole(tmp_path, monkeypatch, catalog3, catalog4):
+    d = tmp_path / "cat"
+    save_catalog(catalog3, d)
+    before = (d / "index.json").read_bytes()
+
+    def broken(self, o, _one_shot=False):
+        raise RuntimeError("encoder failed")
+
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", broken)
+    with pytest.raises(RuntimeError, match="encoder failed"):
+        save_catalog(catalog4, d)
+    monkeypatch.undo()
+    assert (d / "index.json").read_bytes() == before
+    assert not (d / "index.json.part").exists()
+    assert load_catalog(d) == catalog3
+
+
 def _index_record(dirpath, table):
     index = json.loads((dirpath / "index.json").read_text())
     for rec in index["algebras"]:

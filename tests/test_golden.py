@@ -96,11 +96,11 @@ CONSTRUCTION_DIGESTS = (
 
 # over the sorted file names, each name and its bytes followed by a NUL
 CATALOG_DIGESTS = {
-    1: "96de00feb25a2ba757fe1ce7009e38dea514de18c94c9427a08970ec171e5189",
-    2: "ef90bc81668624349dc9f0ad9badcca719b2becc1632784e2a0e5e4cd77b0c55",
-    3: "37b0ef3a7809fef0baff6be840ec4d2402b6b1e8adce5dd597500266d5eea6e1",
-    4: "d0e31666116e92343c4442be1067f78b9cca05b4254318c1ac3087842cf46ed6",
-    5: "3ff65106dda18c5c0494a3e9a3e5135a7c9b5c2f92547c45b55356d140460b10",
+    1: "5c5a2c4480d1632df41d28ffcca818d0842ac08eb8724a0874d7e823c687eeaf",
+    2: "71fb37c2992bc7fa9ba36769b40d29fbb1d6b438e46d088a40bee123e51664b1",
+    3: "c1061cc9948ca6099a495b8e279e4ca8ffc1fbd95c58e0a59cc9bbada212cf1e",
+    4: "9e4faef3e3bdc000236b076a20a3f19a1b8014db923aa633f7e90c357b2044a2",
+    5: "2d80307002f4b83d1ba368e12ccba9882c8476f8650335a0da8c55357b7356cf",
 }
 
 
