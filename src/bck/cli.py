@@ -48,7 +48,7 @@ from .degrees import (
     gap_evidence,
 )
 from .enumeration import (
-    CLI_MAX_ORDER,
+    PRACTICAL_MAX_ORDER,
     EnumerationLimitError,
     audit_bounds,
     enumerate_algebras,
@@ -197,10 +197,9 @@ def cmd_gap(args) -> int:
     return 0
 
 
-def _refuse_runaway(order: int, option: str) -> None:
-    if order > CLI_MAX_ORDER:
-        raise ValueError(f"order {order} is above {CLI_MAX_ORDER}, "
-                         f"the highest enumerated without {option}")
+def _refuse_runaway(order: int) -> None:
+    if order > PRACTICAL_MAX_ORDER:
+        raise ValueError(f"order {order} is above {PRACTICAL_MAX_ORDER}, the highest bck enumerates")
 
 
 def _catalog_for(args):
@@ -211,13 +210,12 @@ def _catalog_for(args):
                 f"catalog at {args.catalog} has order {cat.order}, expected {args.order}"
             )
         return cat
-    _refuse_runaway(args.order, "--catalog")
+    _refuse_runaway(args.order)
     return enumerate_algebras(args.order, jobs=args.jobs)
 
 
 def cmd_enumerate(args) -> int:
-    if args.max_nodes is None:
-        _refuse_runaway(args.order, "--max-nodes")
+    _refuse_runaway(args.order)
     catalog = enumerate_algebras(args.order, jobs=args.jobs, max_nodes=args.max_nodes)
     if args.out:
         save_catalog(catalog, args.out)

@@ -91,13 +91,10 @@ from .degrees import (
 )
 from .terms import _Record
 
-# Order 7 takes about 4 s serially on a 2-vCPU VM, and order 8 (143,866
-# classes) 112-122 s with jobs=2.
-PRACTICAL_MAX_ORDER = 7
-# Highest order `bck` enumerates without --max-nodes or --catalog, even if
-# PRACTICAL_MAX_ORDER rises: order 8 has 2,045 posets, built in 1.5 s, and
-# order 9 16,999, which _posets(9, [100000, 0]) still deduplicated after 30 s.
-CLI_MAX_ORDER = 8
+# Highest order `bck` enumerates, and the highest enumerate_algebras runs
+# without a warning: order 8 (143,866 classes) took 142-181 s serially in
+# three runs on a shared 2-vCPU VM, with a 417-419 MB peak RSS.
+PRACTICAL_MAX_ORDER = 8
 # Lowest order whose catalog search runs in a process pool when jobs > 1:
 # below it the pool's start-up costs more than it saves. On a 2-vCPU VM,
 # with 2 workers against serially: at order 6, in-process medians of 122
@@ -113,6 +110,9 @@ class EnumerationLimitError(RuntimeError):
         )
         self.nodes = nodes
         self.found = found
+
+    def __reduce__(self):
+        return type(self), (self.nodes, self.found)
 
 
 def _initial_table(n: int) -> list[list[int | None]]:
@@ -426,9 +426,9 @@ def enumerate_algebras(n: int, jobs: int = 1, max_nodes: int | None = None) -> C
     """Backtracking enumeration of all order-n BCK-algebras up to
     isomorphism. Identical output for any ``jobs`` count; ``max_nodes``
     caps value placements per search task, and the posets built before the
-    search, and aborts loudly when exceeded. Below order 6 the search runs
-    serially whatever ``jobs`` is, and a pool starts no more workers than
-    there are search tasks.
+    search, and aborts loudly when exceeded. Below order 6, and with a
+    ``max_nodes``, the search runs serially whatever ``jobs`` is, and a
+    pool starts no more workers than there are search tasks.
 
     x <= y iff x*y = 0 is a partial order with least element 0, so each
     class is found by the search task of its order: one task per poset on
@@ -445,13 +445,13 @@ def enumerate_algebras(n: int, jobs: int = 1, max_nodes: int | None = None) -> C
         )
     budget = None if max_nodes is None else [max_nodes, 0]
     tasks = [_poset_task(down) for down in _posets(n, budget)]
-    if jobs <= 1 or n < _POOL_MIN_ORDER:
+    if jobs <= 1 or n < _POOL_MIN_ORDER or max_nodes is not None:
         canon = _complete((n, tasks, True, max_nodes))
     else:
         import multiprocessing  # imported here: it adds about 10 ms to every start-up
 
         workers = min(jobs, len(tasks))
-        groups = [(n, tasks[i::workers], True, max_nodes) for i in range(workers)]
+        groups = [(n, tasks[i::workers], True, None) for i in range(workers)]
         with multiprocessing.Pool(workers) as pool:
             canon = np.concatenate(pool.map(_complete, groups))
     # the distinct canonical tables, sorted lexicographically
@@ -616,14 +616,20 @@ def audit_bounds(catalog: Catalog) -> AuditReport:
     return AuditReport(n, tuple(checks))
 
 
+def _replace_text(path, text: str) -> None:
+    with open(f"{path}.part", "w", encoding="utf-8") as fh:
+        fh.write(text)
+    os.replace(f"{path}.part", path)
+
+
 def save_catalog(catalog: Catalog, dirpath) -> None:
     """Persist as one table file per algebra plus a JSON index with flags
     and degrees, on one line (46 MB at order 8, within the read cap).
     :func:`load_catalog` reads back only the tables and recomputes the
-    rest. The index goes to ``index.json.part`` and is renamed onto
-    ``index.json``, so a failed save leaves an earlier index whole. Then
-    ``.tbl`` files it does not name, left by an earlier save into the same
-    directory, are removed; no other file is touched."""
+    rest. Each file is written to ``NAME.part`` and renamed onto NAME, and
+    a table is named by its text's hash, so a failed save leaves every file
+    an earlier index names whole. Then ``.tbl`` and ``.tbl.part`` files the
+    index does not name are removed; no other file is touched."""
     import hashlib  # imported here: only saved catalogs need it, and it loads OpenSSL
 
     os.makedirs(dirpath, exist_ok=True)
@@ -631,18 +637,14 @@ def save_catalog(catalog: Catalog, dirpath) -> None:
     for e in catalog.entries:
         text = tableio.dumps(catalog.order, e.algebra.array)
         fname = hashlib.sha256(text.encode()).hexdigest()[:16] + ".tbl"
-        with open(os.path.join(dirpath, fname), "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _replace_text(os.path.join(dirpath, fname), text)
         index["algebras"].append({"file": fname, **e.to_json()})
     text = json.dumps(index, separators=(",", ":"), sort_keys=True) + "\n"  # json.dump is pure Python
-    part = os.path.join(dirpath, "index.json.part")
-    with open(part, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(part, os.path.join(dirpath, "index.json"))
+    _replace_text(os.path.join(dirpath, "index.json"), text)
     named = {rec["file"] for rec in index["algebras"]}
     with os.scandir(dirpath) as entries:
         stale = [e.path for e in entries
-                 if e.name.endswith(".tbl") and e.name not in named and e.is_file()]
+                 if e.name.endswith((".tbl", ".tbl.part")) and e.name not in named and e.is_file()]
     for path in stale:
         os.remove(path)
 

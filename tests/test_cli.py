@@ -7,10 +7,13 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
-from bck import chain, d_algebra, enumerate_algebras, pi, save_catalog, tc, tableio
+from bck import (
+    EnumerationLimitError, chain, d_algebra, enumerate_algebras, pi, save_catalog, tc, tableio,
+)
 from bck import cli, enumeration
 from bck.cli import main
 
@@ -448,13 +451,15 @@ def test_enumeration_out_of_max_nodes_exits_1(capsys):
     assert re.fullmatch(r"error: enumeration aborted after \d+ placements with \d+ tables completed\n", err)
 
 
-def test_max_nodes_stops_a_huge_order_at_once(capsys):
+def test_max_nodes_stops_a_huge_order_at_once():
     # the posets the search runs on are built level by level and charged to
-    # the same budget: order 40 stops among the posets on 4 elements
+    # the same budget: order 40 stops among the posets on 4 elements. `bck`
+    # refuses the order; the library warns and runs it
     with pytest.warns(RuntimeWarning, match="exceeds the practical ceiling"):
-        code, out, err = run(capsys, "enumerate", "--order", "40", "--max-nodes", "10")
-    assert (code, out) == (1, "")
-    assert err == "error: enumeration aborted after 10 placements with 0 tables completed\n"
+        with pytest.raises(EnumerationLimitError) as exc:
+            enumerate_algebras(40, max_nodes=10)
+    assert (exc.value.nodes, exc.value.found) == (10, 0)
+    assert str(exc.value) == "enumeration aborted after 10 placements with 0 tables completed"
 
 
 class _PosetsBuilt(Exception):
@@ -465,29 +470,34 @@ def _no_posets(*args):
     raise _PosetsBuilt
 
 
-@pytest.mark.parametrize("argv, option", [
-    (["enumerate", "--order", "9"], "--max-nodes"),
-    (["audit", "--order", "12"], "--catalog"),
-    (["spectrum", "--order", "9", "--kind", "cd"], "--catalog"),
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--order", "9"],
+    ["audit", "--order", "12"],
+    ["spectrum", "--order", "9", "--kind", "cd"],
+    # a budget is no licence: it does not bound the posets' deduplication
+    ["enumerate", "--order", "9", "--max-nodes", "5"],
+    ["enumerate", "--order", "40", "--max-nodes", "10"],
+    ["enumerate", "--order", "12", "--max-nodes", "100000"],
 ])
-def test_runaway_order_is_refused_before_any_poset(capsys, monkeypatch, argv, option):
+def test_runaway_order_is_refused_before_any_poset(capsys, monkeypatch, argv):
     monkeypatch.setattr(enumeration, "_posets", _no_posets)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == f"error: order {argv[2]} is above 8, the highest enumerated without {option}\n"
+    assert err == f"error: order {argv[2]} is above 8, the highest bck enumerates\n"
 
 
-@pytest.mark.filterwarnings("ignore:enumeration at order")
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--order", "8"],
-    ["enumerate", "--order", "9", "--max-nodes", "5"],
+    ["enumerate", "--order", "8", "--max-nodes", "5"],
     ["audit", "--order", "8"],
     ["spectrum", "--order", "8", "--kind", "cd"],
 ])
 def test_orders_within_the_cap_reach_the_posets(monkeypatch, argv):
     monkeypatch.setattr(enumeration, "_posets", _no_posets)
-    with pytest.raises(_PosetsBuilt):
-        main(argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # order 8 is within the warning threshold too
+        with pytest.raises(_PosetsBuilt):
+            main(argv)
 
 
 def test_a_saved_catalog_above_the_cap_is_read(capsys, monkeypatch, tmp_path):
@@ -1005,7 +1015,8 @@ def _fresh_python(probe):
     # run `probe` in a new interpreter that imports this checkout's bck
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=60)
 
 
 def test_import_leaves_out_pool_and_hash_modules():
@@ -1034,3 +1045,34 @@ def test_import_builds_no_relabeling_tables():
     )
     done = _fresh_python(probe)
     assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
+
+
+def test_a_budget_aborts_the_same_for_any_jobs():
+    # a budgeted search runs in the calling process, so the pool never
+    # decides which task's abort is reported, or whether one is
+    def enumerate6(jobs):
+        return _fresh_python(
+            "import sys\n"
+            "from bck.cli import main\n"
+            f"sys.exit(main(['enumerate', '--order', '6', '--jobs', '{jobs}', '--max-nodes', '500']))\n"
+        )
+
+    serial, pooled = enumerate6(1), enumerate6(2)
+    assert (serial.returncode, serial.stdout) == (1, "")
+    assert serial.stderr == "error: enumeration aborted after 129 placements with 1 tables completed\n"
+    assert (pooled.returncode, pooled.stdout, pooled.stderr) == (1, "", serial.stderr)
+
+
+def test_order_8_enumerates_without_a_warning():
+    # in a fresh process, where a warning would reach stderr; the search
+    # itself is cut short once the order has passed every check
+    probe = (
+        "import sys\n"
+        "from bck import cli, enumeration\n"
+        "def stop(n, budget):\n"
+        "    sys.exit(0)\n"
+        "enumeration._posets = stop\n"
+        "cli.main(['enumerate', '--order', '8'])\n"
+    )
+    done = _fresh_python(probe)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")

@@ -5,6 +5,7 @@ import multiprocessing
 import pickle
 import shutil
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -512,7 +513,31 @@ def test_enumeration_node_limit_covers_the_posets():
 def test_enumeration_warns_above_practical_ceiling():
     with pytest.warns(RuntimeWarning):
         with pytest.raises(EnumerationLimitError):
+            enumerate_algebras(9, max_nodes=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EnumerationLimitError):
             enumerate_algebras(8, max_nodes=10)
+
+
+@pytest.mark.parametrize("budget, stop", [(200, (60, 1)), (500, (129, 1)), (1500, (359, 6))])
+def test_a_budgeted_search_starts_no_pool(monkeypatch, budget, stop):
+    # an abort found in this process is the serial one, whatever jobs is
+    def no_pool(processes):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    for jobs in (1, 2):
+        with pytest.raises(EnumerationLimitError) as exc:
+            enumerate_algebras(6, jobs=jobs, max_nodes=budget)
+        assert (exc.value.nodes, exc.value.found) == stop
+
+
+def test_enumeration_limit_error_pickles():
+    # a pool hands a worker's exception back pickled
+    exc = pickle.loads(pickle.dumps(EnumerationLimitError(39, 2)))
+    assert type(exc) is EnumerationLimitError and (exc.nodes, exc.found) == (39, 2)
+    assert str(exc) == "enumeration aborted after 39 placements with 2 tables completed"
 
 
 def test_implicative_iff_commutative_and_positive_implicative(small_catalogs):
@@ -708,6 +733,42 @@ def test_failed_save_leaves_the_earlier_index_whole(tmp_path, monkeypatch, catal
     assert (d / "index.json").read_bytes() == before
     assert not (d / "index.json.part").exists()
     assert load_catalog(d) == catalog3
+
+
+def test_failed_save_leaves_every_earlier_file_whole(tmp_path, monkeypatch, catalog4):
+    # a table file is rewritten by every save that holds its algebra; a
+    # write cut off half way leaves a .part file, which the next save sweeps
+    d = tmp_path / "cat"
+    save_catalog(catalog4, d)
+    before = {p.name: p.read_bytes() for p in d.iterdir()}
+    opened = []
+
+    class HalfWritten:
+        def __init__(self, path, *args, **kwargs):
+            self.file = open(path, *args, **kwargs)
+            opened.append(path)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.file.close()
+
+        def write(self, text):
+            if len(opened) == 3:
+                self.file.write(text[: len(text) // 2])
+                raise OSError("disk full")
+            return self.file.write(text)
+
+    monkeypatch.setattr(enumeration, "open", HalfWritten, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        save_catalog(catalog4, d)
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in d.iterdir() if p.suffix != ".part"} == before
+    assert len([p for p in d.iterdir() if p.name.endswith(".tbl.part")]) == 1
+    assert load_catalog(d) == catalog4
+    save_catalog(catalog4, d)
+    assert {p.name: p.read_bytes() for p in d.iterdir()} == before
 
 
 def _index_record(dirpath, table):
